@@ -21,13 +21,14 @@
 
 use crate::closed_loop::PllModel;
 use crate::error::CoreError;
+use crate::lambda::EffectiveGain;
 use crate::quality::{PointQuality, QualitySummary};
-use crate::sweep::SweepCache;
+use crate::sweep::{SweepCache, LAMBDA_CHUNK};
 use htmpll_htm::nyquist::{strip_contour, strip_zero_count_from_values};
 use htmpll_lti::{
-    bandwidth_3db_precomputed, margin_scan_grid, peaking_db_precomputed,
-    stability_margins_precomputed, MarginError, Margins,
+    bandwidth_3db_precomputed, peaking_db_refined, unity_gain_crossings_precomputed, MarginError,
 };
+use htmpll_num::optim::log_grid;
 use htmpll_num::Complex;
 use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
 
@@ -87,6 +88,16 @@ impl AnalysisReport {
 /// unity-gain frequency.
 const SCAN_DECADES_DOWN: f64 = 1e-4;
 
+/// Points of every coarse bracketing scan. Each output is refined off
+/// this grid (Brent for the crossings, golden section for the peaks),
+/// so the grid only has to bracket: 128 and 256 points pass the same
+/// seeded 2000-design agreement test (`tests/refined_analysis.rs`).
+const COARSE_POINTS: usize = 64;
+
+/// Samples of the full Nyquist strip contour; the upper half
+/// (`CONTOUR_SAMPLES/2 + 1` points) is evaluated.
+const CONTOUR_SAMPLES: usize = 4096;
+
 /// Analyzes a PLL model.
 ///
 /// The scan window spans from `ω_UG·10⁻⁴` to just below `ω₀/2` for the
@@ -102,11 +113,11 @@ pub fn analyze(model: &PllModel) -> Result<AnalysisReport, CoreError> {
     analyze_with(model, ThreadBudget::Auto)
 }
 
-/// [`analyze`] with an explicit thread budget for the margin, peaking
-/// and Nyquist-contour scans. Every scan grid is evaluated on the
-/// `htmpll-par` pool and the extractors run over the precomputed
-/// values, so the report is **bitwise-identical for any thread count**
-/// (including the sequential `Fixed(1)` path).
+/// [`analyze`] with an explicit thread budget for the Nyquist-contour
+/// scan. The contour is evaluated on the `htmpll-par` pool in fixed
+/// blocks and every extractor runs over the collected values, so the
+/// report is **bitwise-identical for any thread count** (including the
+/// sequential `Fixed(1)` path).
 ///
 /// # Errors
 ///
@@ -136,31 +147,99 @@ pub fn analyze_cached(
     analyze_deadline(model, threads, cache, &Deadline::none())
 }
 
-/// Collapses one cancellable scan into its values, or the deadline
-/// error naming the phase that ran out of budget.
-fn scan_or_deadline(
-    slots: Vec<Option<Complex>>,
+/// `f` over `grid` on the calling thread, checking the deadline before
+/// every point.
+fn scan(
+    grid: &[f64],
+    deadline: &Deadline,
+    phase: &'static str,
+    f: impl Fn(f64) -> Complex,
+) -> Result<Vec<Complex>, CoreError> {
+    grid.iter()
+        .map(|&w| {
+            if deadline.expired() {
+                Err(CoreError::DeadlineExceeded { phase })
+            } else {
+                Ok(f(w))
+            }
+        })
+        .collect()
+}
+
+/// `λ(σ + jω)` over `omegas` through the SIMD batch kernel, in fixed
+/// [`LAMBDA_CHUNK`]-point blocks on the pool (the partition is by
+/// index, so the values are identical at any thread count), checking
+/// the deadline before every block.
+fn lambda_scan(
+    lam: &EffectiveGain,
+    sigma: f64,
+    omegas: &[f64],
+    threads: ThreadBudget,
+    deadline: &Deadline,
     phase: &'static str,
 ) -> Result<Vec<Complex>, CoreError> {
-    let n = slots.len();
-    let vals: Vec<Complex> = slots.into_iter().flatten().collect();
-    if vals.len() < n {
+    let chunks: Vec<&[f64]> = omegas.chunks(LAMBDA_CHUNK).collect();
+    let blocks = par_map_cancellable(threads, &chunks, deadline, |_, ws| {
+        let mut out = vec![Complex::ZERO; ws.len()];
+        lam.eval_jw_batch(sigma, ws, &mut out);
+        out
+    });
+    let vals: Vec<Complex> = blocks.into_iter().flatten().flatten().collect();
+    if vals.len() < omegas.len() {
         Err(CoreError::DeadlineExceeded { phase })
     } else {
         Ok(vals)
     }
 }
 
-/// [`analyze_cached`] under a cooperative [`Deadline`]: every scan grid
-/// is cancellable, so an expired budget surfaces as
+/// The last unity crossing of `f` bracketed on `grid` (Brent-refined)
+/// and the phase margin there.
+fn crossover(
+    mut f: impl FnMut(f64) -> Complex,
+    grid: &[f64],
+    values: &[Complex],
+) -> Result<(f64, f64), MarginError> {
+    let w = *unity_gain_crossings_precomputed(&mut f, grid, values)
+        .last()
+        .ok_or(MarginError::NoUnityCrossing)?;
+    Ok((w, 180.0 + f(w).arg().to_degrees()))
+}
+
+/// The LTI crossover `ω_UG` of `A(jω)` and its phase margin. The scan
+/// window is scaled to the reference frequency so designs in physical
+/// units (MHz references) and normalized units both work: any practical
+/// loop crossover sits within [1e-7, 1e2]·ω₀.
+pub(crate) fn lti_crossover(
+    model: &PllModel,
+    deadline: &Deadline,
+) -> Result<(f64, f64), CoreError> {
+    let _phase = htmpll_obs::span("core", "analyze.lti_margin");
+    let a = model.open_loop();
+    let w0 = model.design().omega_ref();
+    let grid = log_grid(1e-7 * w0, 100.0 * w0, COARSE_POINTS);
+    let vals = scan(&grid, deadline, "LTI margin", |w| a.eval_jw(w))?;
+    Ok(crossover(|w| a.eval_jw(w), &grid, &vals)?)
+}
+
+/// [`analyze_cached`] under a cooperative [`Deadline`]: every scan is
+/// cancellable, so an expired budget surfaces as
 /// [`CoreError::DeadlineExceeded`] (naming the scan phase) instead of
-/// running the remaining grids to completion. With
+/// running the remaining scans to completion. With
 /// [`Deadline::none`] this is exactly [`analyze_cached`] — same scans,
 /// same bits.
 ///
-/// The margin extractors need the *whole* scan to bracket crossings, so
-/// analysis has no partial-result mode: the deadline either leaves
-/// enough budget for a full report or the analysis fails retryably.
+/// Each output is bracketed on a coarse log grid and refined: the LTI
+/// and effective crossovers by Brent on `ln|·| = 0`, the −3 dB point of
+/// `H₀,₀` likewise, and the `H₀,₀`/`H₀,₀,LTI` peaks by golden-section
+/// search over every coarse local maximum. The Nyquist verdict winds
+/// `1 + λ` around the strip contour, whose lower half is the mirror
+/// image of the upper (`λ(s̄) = conj λ(s)`, and the contour's dyadic
+/// samples mirror exactly), so only the upper half is evaluated.
+/// The λ scans run through the SIMD batch kernel.
+///
+/// The extractors need a whole scan to bracket, so analysis has no
+/// partial-result mode: the deadline either leaves enough budget for a
+/// full report or the analysis fails retryably.
 ///
 /// # Errors
 ///
@@ -173,81 +252,82 @@ pub fn analyze_deadline(
     deadline: &Deadline,
 ) -> Result<AnalysisReport, CoreError> {
     let _span = htmpll_obs::span("core", "analyze");
-    let a = model.open_loop().clone();
+    let a = model.open_loop();
+    let lam = model.lambda();
     let w0 = model.design().omega_ref();
+    // The coarse scans are two λ blocks each: cheaper inline than a
+    // pool hand-off.
+    let inline = ThreadBudget::Fixed(1);
 
-    // Scan window scaled to the reference frequency so designs in
-    // physical units (MHz references) and normalized units both work:
-    // any practical loop crossover sits within [1e-7, 1e2]·ω₀.
-    let lti_grid = margin_scan_grid(1e-7 * w0, 100.0 * w0);
-    let lti_vals = scan_or_deadline(
-        par_map_cancellable(threads, &lti_grid, deadline, |_, &w| a.eval_jw(w)),
-        "LTI margin",
-    )?;
-    let lti = stability_margins_precomputed(|w| a.eval_jw(w), &lti_grid, &lti_vals)?;
+    let (omega_ug_lti, pm_lti) = lti_crossover(model, deadline)?;
+
     // λ has a pole at every multiple of ω₀ on the jω axis (the aliased
     // integrators); stay strictly inside the first band.
-    let lam = model.lambda();
     let band_edge = 0.499_999 * w0;
-    let lam_grid = margin_scan_grid(lti.omega_ug * SCAN_DECADES_DOWN, band_edge);
-    let lam_vals = scan_or_deadline(
-        par_map_cancellable(threads, &lam_grid, deadline, |_, &w| lam.eval_jw(w)),
-        "effective-gain margin",
-    )?;
-    let (eff, beyond_limit) =
-        match stability_margins_precomputed(|w| lam.eval_jw(w), &lam_grid, &lam_vals) {
-            Ok(m) => (m, false),
+    let (omega_ug_eff, pm_eff, beyond_limit, lam_vals) = {
+        let _phase = htmpll_obs::span("core", "analyze.lambda_margin");
+        let grid = log_grid(omega_ug_lti * SCAN_DECADES_DOWN, band_edge, COARSE_POINTS);
+        let vals = lambda_scan(lam, 0.0, &grid, inline, deadline, "effective-gain margin")?;
+        match crossover(|w| lam.eval_jw(w), &grid, &vals) {
+            Ok((w, pm)) => (w, pm, false, vals),
             // |λ| ≥ 1 across the whole band: the loop has reached the
-            // sampling stability limit. By the symmetry λ(j(ω₀−ω)) = λ̄(jω),
-            // λ(jω₀/2) is real (and negative for these loops), so the
-            // band-edge phase margin is the natural limiting value.
+            // sampling stability limit. By the symmetry λ(j(ω₀−ω)) =
+            // λ̄(jω), λ(jω₀/2) is real (and negative for these loops), so
+            // the band-edge phase margin is the natural limiting value.
             Err(MarginError::NoUnityCrossing) => {
                 let edge = lam.eval_jw(band_edge);
-                (
-                    Margins {
-                        omega_ug: band_edge,
-                        phase_margin_deg: 180.0 + edge.arg().to_degrees(),
-                        omega_pc: Some(band_edge),
-                        gain_margin_db: Some(-20.0 * edge.abs().log10()),
-                    },
-                    true,
-                )
+                (band_edge, 180.0 + edge.arg().to_degrees(), true, vals)
             }
             Err(e) => return Err(e.into()),
-        };
+        }
+    };
 
     // H₀,₀(jω) = A(jω)/(1+λ(jω)) is a valid transfer function at any ω
     // (λ is entire along the axis except the aliased-integrator poles at
     // mω₀, where H₀,₀ has physical notches) — scan past the band edge so
-    // wideband fast loops still report a −3 dB point. One grid, one
-    // parallel evaluation, shared by the bandwidth and peaking
-    // extractors (the legacy path evaluated it once per extractor).
-    let w_ref = lti.omega_ug * SCAN_DECADES_DOWN;
-    let h00_scan_hi = 100.0 * lti.omega_ug;
-    let h_grid = margin_scan_grid(w_ref, h00_scan_hi);
-    let h_vals = scan_or_deadline(
-        par_map_cancellable(threads, &h_grid, deadline, |_, &w| model.h00(w)),
-        "closed-loop",
-    )?;
-    let bw = bandwidth_3db_precomputed(|w| model.h00(w), w_ref, &h_grid, &h_vals);
-    let pk = peaking_db_precomputed(|w| model.h00(w), w_ref, &h_vals);
-    let hlti_vals = scan_or_deadline(
-        par_map_cancellable(threads, &h_grid, deadline, |_, &w| model.h00_lti(w)),
-        "LTI closed-loop",
-    )?;
-    let pk_lti = peaking_db_precomputed(|w| model.h00_lti(w), w_ref, &hlti_vals);
+    // wideband fast loops still report a −3 dB point.
+    let w_ref = omega_ug_lti * SCAN_DECADES_DOWN;
+    let h_grid = log_grid(w_ref, 100.0 * omega_ug_lti, COARSE_POINTS);
+    let (bw, pk, h_vals) = {
+        let _phase = htmpll_obs::span("core", "analyze.h00");
+        let lam_h = lambda_scan(lam, 0.0, &h_grid, inline, deadline, "closed-loop")?;
+        // Exactly the operations of `PllModel::h00`, from the batch λ.
+        let vals: Vec<Complex> = h_grid
+            .iter()
+            .zip(&lam_h)
+            .map(|(&w, &l)| a.eval_jw(w) / (Complex::ONE + l))
+            .collect();
+        let bw = bandwidth_3db_precomputed(|w| model.h00(w), w_ref, &h_grid, &vals);
+        let pk = peaking_db_refined(|w| model.h00(w), w_ref, &h_grid, &vals);
+        (bw, pk, vals)
+    };
+    let pk_lti = {
+        let _phase = htmpll_obs::span("core", "analyze.h00_lti");
+        let vals = scan(&h_grid, deadline, "LTI closed-loop", |w| model.h00_lti(w))?;
+        peaking_db_refined(|w| model.h00_lti(w), w_ref, &h_grid, &vals)
+    };
+
     // Zeros of 1 + λ in the right-half period strip, counted on a
     // contour offset slightly right of the jω-axis integrator poles.
-    // The contour gains are evaluated on the pool; the winding count
-    // depends only on the value sequence.
-    let contour = strip_contour(w0, 1e-4 * lti.omega_ug, 4096);
-    let contour_vals = scan_or_deadline(
-        par_map_cancellable(threads, &contour, deadline, |_, &s| lam.eval(s)),
-        "Nyquist contour",
-    )?;
-    let stable = strip_zero_count_from_values(&contour_vals) == 0;
+    // The winding count depends only on the value sequence.
+    let contour_vals = {
+        let _phase = htmpll_obs::span("core", "analyze.nyquist_contour");
+        let eps = 1e-4 * omega_ug_lti;
+        let contour = strip_contour(w0, eps, CONTOUR_SAMPLES);
+        let upper: Vec<f64> = contour[..=CONTOUR_SAMPLES / 2]
+            .iter()
+            .map(|s| s.im)
+            .collect();
+        lambda_scan(lam, eps, &upper, threads, deadline, "Nyquist contour")?
+    };
+    let mirrored = contour_vals[..CONTOUR_SAMPLES / 2]
+        .iter()
+        .rev()
+        .map(|v| v.conj());
+    let full: Vec<Complex> = contour_vals.iter().copied().chain(mirrored).collect();
+    let stable = strip_zero_count_from_values(&full) == 0;
 
-    // Quality roll-up: every scalar scan point (non-finite → failed),
+    // Quality roll-up: every evaluated scan point (non-finite → failed),
     // plus one dense closed-loop probe at the effective crossover for a
     // representative condition estimate of the truncated I+G̃ solves.
     let mut quality = QualitySummary::default();
@@ -262,17 +342,17 @@ pub fn analyze_deadline(
         quality.absorb(&q, 0.0, 0.0);
     }
     let probe_trunc = model.resolve_truncation(htmpll_htm::TruncationSpec::default());
-    match cache.dense_robust(model, Complex::from_im(eff.omega_ug), probe_trunc) {
+    match cache.dense_robust(model, Complex::from_im(omega_ug_eff), probe_trunc) {
         Ok(d) => quality.absorb(&d.quality, d.report.cond_estimate, d.report.residual),
         Err(reason) => quality.absorb(&PointQuality::Failed { reason }, 0.0, 0.0),
     }
 
     Ok(AnalysisReport {
-        omega_ug_ratio: lti.omega_ug / w0,
-        omega_ug_lti: lti.omega_ug,
-        phase_margin_lti_deg: lti.phase_margin_deg,
-        omega_ug_eff: eff.omega_ug,
-        phase_margin_eff_deg: eff.phase_margin_deg,
+        omega_ug_ratio: omega_ug_lti / w0,
+        omega_ug_lti,
+        phase_margin_lti_deg: pm_lti,
+        omega_ug_eff,
+        phase_margin_eff_deg: pm_eff,
         bandwidth_3db: bw,
         peaking_db: pk,
         peaking_lti_db: pk_lti,

@@ -404,11 +404,26 @@ fn build_design(p: &DesignParams) -> Result<PllDesign, CoreError> {
 
 /// Per-worker scratch: the screening scan reuses these buffers across
 /// every candidate a worker evaluates (contents never carry
-/// information between candidates — each screen overwrites them).
-#[derive(Debug, Default)]
+/// information between candidates — each screen overwrites them), and
+/// the full analysis routes its dense crossover probe through a
+/// one-entry cache. Candidates are distinct designs, so a probe is never
+/// looked up again; a shared cache would only retain one dense solve
+/// per analysed candidate.
+#[derive(Debug)]
 pub struct ExploreWorkspace {
     mag: Vec<f64>,
     phase: Vec<f64>,
+    probes: SweepCache,
+}
+
+impl Default for ExploreWorkspace {
+    fn default() -> Self {
+        ExploreWorkspace {
+            mag: Vec::new(),
+            phase: Vec::new(),
+            probes: SweepCache::with_capacity(1),
+        }
+    }
 }
 
 /// Coarse closed-form screen: scan `|λ(jω)|` on [`SCREEN_POINTS`] log
@@ -483,7 +498,6 @@ enum Outcome {
 fn evaluate(
     p: &DesignParams,
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
     ws: &mut ExploreWorkspace,
     quality: &mut QualitySummary,
@@ -515,7 +529,7 @@ fn evaluate(
     // Inner analysis always runs single-threaded: parallelism lives at
     // the block level, and a fixed inner budget keeps the per-candidate
     // arithmetic identical no matter how blocks land on workers.
-    let report = match analyze_deadline(&model, ThreadBudget::Fixed(1), cache, deadline) {
+    let report = match analyze_deadline(&model, ThreadBudget::Fixed(1), &ws.probes, deadline) {
         Ok(r) => r,
         Err(CoreError::DeadlineExceeded { .. }) => return Outcome::Deadline,
         Err(_) => return Outcome::Failed,
@@ -568,7 +582,6 @@ struct BlockOut {
 fn eval_block(
     params: impl ExactSizeIterator<Item = DesignParams>,
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
     ws: &mut ExploreWorkspace,
 ) -> BlockOut {
@@ -588,7 +601,7 @@ fn eval_block(
             out.skipped += 1;
             continue;
         }
-        match evaluate(&p, spec, cache, deadline, ws, &mut out.quality) {
+        match evaluate(&p, spec, deadline, ws, &mut out.quality) {
             Outcome::Deadline => {
                 out.skipped += 1;
                 continue;
@@ -661,7 +674,6 @@ fn run_stream_round(
     base_index: u64,
     count: usize,
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
 ) {
     if count == 0 {
@@ -677,7 +689,7 @@ fn run_stream_round(
             let len = EXPLORE_BLOCK.min(count - start);
             let params = (0..len)
                 .map(|j| candidate_params(spec.seed, base_index + (start + j) as u64, spec.quasi));
-            eval_block(params, spec, cache, deadline, ws)
+            eval_block(params, spec, deadline, ws)
         },
     );
     for (slot, &start) in slots.into_iter().zip(&blocks) {
@@ -691,7 +703,6 @@ fn run_list_round(
     fold: &mut Fold,
     params: &[DesignParams],
     spec: &ExploreSpec,
-    cache: &SweepCache,
     deadline: &Deadline,
 ) {
     if params.is_empty() {
@@ -705,13 +716,7 @@ fn run_list_round(
         ExploreWorkspace::default,
         |ws, _, &start| {
             let end = (start + EXPLORE_BLOCK).min(params.len());
-            eval_block(
-                params[start..end].iter().copied(),
-                spec,
-                cache,
-                deadline,
-                ws,
-            )
+            eval_block(params[start..end].iter().copied(), spec, deadline, ws)
         },
     );
     for (slot, &start) in slots.into_iter().zip(&blocks) {
@@ -779,13 +784,19 @@ pub fn explore(spec: &ExploreSpec, cache: &SweepCache) -> Result<ExploreReport, 
 /// run fails with [`CoreError::DeadlineExceeded`] so callers can
 /// surface a retryable error instead of an empty front.
 ///
+/// The caller's sweep cache is accepted but not filled: candidates are
+/// distinct designs, so each is analysed against per-worker scratch
+/// ([`ExploreWorkspace`]) — a shared cache would retain one dense
+/// crossover probe per analysed candidate and break the flat-memory
+/// contract, with no later lookup ever hitting it.
+///
 /// # Errors
 ///
 /// `candidates == 0` is rejected as an invalid parameter; a fully
 /// exhausted budget surfaces as [`CoreError::DeadlineExceeded`].
 pub fn explore_deadline(
     spec: &ExploreSpec,
-    cache: &SweepCache,
+    _cache: &SweepCache,
     deadline: &Deadline,
 ) -> Result<ExploreReport, CoreError> {
     if spec.candidates == 0 {
@@ -801,7 +812,7 @@ pub fn explore_deadline(
     let mut degradation = Vec::new();
     let mut fold = Fold::new(spec.front_cap);
 
-    run_stream_round(&mut fold, 0, spec.candidates, spec, cache, deadline);
+    run_stream_round(&mut fold, 0, spec.candidates, spec, deadline);
     if fold.skipped > 0 {
         degradation.push(format!(
             "deadline pressure: evaluated {} of {} candidates; front reflects completed blocks only",
@@ -842,7 +853,7 @@ pub fn explore_deadline(
             break;
         }
         let before = fold.evaluated;
-        run_list_round(&mut fold, &probes, spec, cache, deadline);
+        run_list_round(&mut fold, &probes, spec, deadline);
         if fold.evaluated == before {
             break;
         }
@@ -1091,8 +1102,10 @@ mod tests {
     fn deadline_degrades_without_corrupting() {
         let spec = quick_spec(64);
         // A checks-budget deadline large enough to finish some blocks
-        // deterministically but not all of them.
-        let deadline = Deadline::after_checks(40_000);
+        // deterministically but not all of them (a full analysis checks
+        // the deadline ~200 times: per point of its two sequential
+        // scans, per λ block of the others).
+        let deadline = Deadline::after_checks(640);
         match explore_deadline(&spec, &SweepCache::new(), &deadline) {
             Ok(report) => {
                 assert!(report.skipped > 0, "tight budget should skip blocks");

@@ -166,20 +166,21 @@ impl EffectiveGain {
         self.eval(Complex::from_im(omega))
     }
 
-    /// Exact `λ(jω)` at a batch of frequencies, written into `out`.
+    /// Exact `λ(σ + jω)` at a batch of points on the vertical line
+    /// `Re s = σ`, written into `out` (`σ = 0` is the `jω` axis).
     ///
     /// The per-pole lattice polynomial and prefactor come precomputed
     /// from construction, the `coth` kernel is evaluated per lane, and
     /// the Horner/accumulate stage runs through the SIMD dispatch in
     /// [`htmpll_num::simd`]. Every lane performs exactly the operation
-    /// sequence of [`eval_jw`](EffectiveGain::eval_jw), so the batch is
-    /// **bitwise identical** to the pointwise path — grids may switch
-    /// between them freely.
+    /// sequence of [`eval`](EffectiveGain::eval) at `σ + jω`, so the
+    /// batch is **bitwise identical** to the pointwise path — scans may
+    /// switch between them freely.
     ///
     /// # Panics
     ///
     /// Panics when `omegas` and `out` have different lengths.
-    pub fn eval_jw_batch(&self, omegas: &[f64], out: &mut [Complex]) {
+    pub fn eval_jw_batch(&self, sigma: f64, omegas: &[f64], out: &mut [Complex]) {
         assert_eq!(omegas.len(), out.len(), "batch length mismatch");
         htmpll_obs::counter!("core", "lambda.eval").add(omegas.len() as u64);
         const LANES: usize = 16;
@@ -192,7 +193,7 @@ impl EffectiveGain {
             let mut c_im = [0.0_f64; LANES];
             for term in &self.pre {
                 for (l, &w) in ws.iter().enumerate() {
-                    let x = (Complex::from_im(w) - term.pole).scale(scale);
+                    let x = (Complex::new(sigma, w) - term.pole).scale(scale);
                     let c = x.coth();
                     c_re[l] = c.re;
                     c_im[l] = c.im;
@@ -425,11 +426,13 @@ mod tests {
         let mut omegas: Vec<f64> = (0..37).map(|i| 0.01 + 0.13 * i as f64).collect();
         omegas.extend([w0, 2.0 * w0, w0 + 1e-12, 0.0]);
         let mut batch = vec![Complex::ZERO; omegas.len()];
-        lam.eval_jw_batch(&omegas, &mut batch);
-        for (&w, v) in omegas.iter().zip(&batch) {
-            let direct = lam.eval_jw(w);
-            assert_eq!(direct.re.to_bits(), v.re.to_bits(), "w={w}");
-            assert_eq!(direct.im.to_bits(), v.im.to_bits(), "w={w}");
+        for sigma in [0.0, 1e-4, -0.7, 3.0] {
+            lam.eval_jw_batch(sigma, &omegas, &mut batch);
+            for (&w, v) in omegas.iter().zip(&batch) {
+                let direct = lam.eval(Complex::new(sigma, w));
+                assert_eq!(direct.re.to_bits(), v.re.to_bits(), "s={sigma}+j{w}");
+                assert_eq!(direct.im.to_bits(), v.im.to_bits(), "s={sigma}+j{w}");
+            }
         }
     }
 

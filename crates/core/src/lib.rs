@@ -65,7 +65,7 @@ pub use hold::SampleHoldModel;
 pub use lambda::EffectiveGain;
 pub use noise::{NoiseModel, NoiseShape};
 pub use optimize::{optimize_loop, Candidate, NoiseSpec, OptimizeSpec};
-pub use poles::{damping_ratio, dominant_poles};
+pub use poles::{damping_ratio, dominant_poles, dominant_poles_deadline};
 pub use quality::{GridOutcome, PointOutcome, PointQuality, QualitySummary, DEADLINE_REASON};
 pub use spurs::LeakageSpurs;
 pub use sweep::{

@@ -21,9 +21,11 @@
 //! assert!(poles.iter().all(|p| p.re < 0.0));
 //! ```
 
+use crate::analysis::lti_crossover;
 use crate::closed_loop::PllModel;
 use crate::error::CoreError;
 use htmpll_num::Complex;
+use htmpll_par::Deadline;
 
 /// Newton refinement of a zero of `1 + λ(s)` from an initial guess.
 ///
@@ -72,9 +74,25 @@ pub fn refine_pole(model: &PllModel, seed: Complex, tol: f64) -> Option<Complex>
 ///
 /// # Errors
 ///
-/// Propagates LTI pole extraction failures; returns an empty vector when
-/// no Newton run converges.
+/// Propagates LTI pole extraction failures, and the crossover scan's
+/// failure when `A(jω)` never crosses unity; returns an empty vector
+/// when no Newton run converges.
 pub fn dominant_poles(model: &PllModel) -> Result<Vec<Complex>, CoreError> {
+    dominant_poles_deadline(model, &Deadline::none())
+}
+
+/// [`dominant_poles`] under a cooperative [`Deadline`], checked before
+/// every strip-grid row and every Newton run.
+///
+/// # Errors
+///
+/// As [`dominant_poles`], plus [`CoreError::DeadlineExceeded`] when the
+/// budget expires.
+pub fn dominant_poles_deadline(
+    model: &PllModel,
+    deadline: &Deadline,
+) -> Result<Vec<Complex>, CoreError> {
+    const PHASE: &str = "dominant-pole";
     let _span = htmpll_obs::span("core", "dominant_poles");
     let cl = model.open_loop().feedback_unity()?;
     let mut seeds: Vec<Complex> = cl
@@ -83,22 +101,33 @@ pub fn dominant_poles(model: &PllModel) -> Result<Vec<Complex>, CoreError> {
         .map(|p| if p.im < 0.0 { p.conj() } else { p })
         .collect();
 
-    // Strip grid: local minima of |1 + λ| over Re ∈ [−3ω_UG, +ω_UG],
+    // Strip grid: local minima of |1 + λ| over Re ∈ [−3, +1]·ω_UG,
     // Im ∈ [−0.1, 0.6]·ω₀ — deliberately past the strip edge ω₀/2, where
     // the alias-born pole pair lives for fast loops (results fold back
-    // to the canonical strip inside the Newton refinement).
+    // to the canonical strip inside the Newton refinement). Both spans
+    // scale with the loop, so designs in physical units are covered.
+    // Each row is one vertical line through the λ batch kernel.
     let w0 = model.design().omega_ref();
+    let (wug, _) = lti_crossover(model, deadline)?;
     let lam = model.lambda();
     const NR: usize = 30;
     const NI: usize = 30;
-    let mut grid = vec![[0.0f64; NI]; NR];
-    let re_at = |i: usize| -3.0 + 4.0 * i as f64 / (NR - 1) as f64;
+    let re_at = |i: usize| wug * (-3.0 + 4.0 * i as f64 / (NR - 1) as f64);
     let im_at = |j: usize| w0 * (-0.1 + 0.7 * j as f64 / (NI - 1) as f64);
-    for (i, row) in grid.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = (Complex::ONE + lam.eval(Complex::new(re_at(i), im_at(j)))).abs();
-        }
-    }
+    let ims: Vec<f64> = (0..NI).map(im_at).collect();
+    let grid: Vec<Vec<f64>> = {
+        let _phase = htmpll_obs::span("core", "dominant_poles.grid");
+        let mut row = vec![Complex::ZERO; NI];
+        (0..NR)
+            .map(|i| {
+                if deadline.expired() {
+                    return Err(CoreError::DeadlineExceeded { phase: PHASE });
+                }
+                lam.eval_jw_batch(re_at(i), &ims, &mut row);
+                Ok(row.iter().map(|&l| (Complex::ONE + l).abs()).collect())
+            })
+            .collect::<Result<_, _>>()?
+    };
     for i in 1..NR - 1 {
         for j in 1..NI - 1 {
             let v = grid[i][j];
@@ -111,6 +140,9 @@ pub fn dominant_poles(model: &PllModel) -> Result<Vec<Complex>, CoreError> {
 
     let mut found: Vec<Complex> = Vec::new();
     for seed in seeds {
+        if deadline.expired() {
+            return Err(CoreError::DeadlineExceeded { phase: PHASE });
+        }
         if let Some(p) = refine_pole(model, seed, 1e-12) {
             // Canonical representative: fold into |Im| ≤ ω₀/2, upper half.
             let mut p = p;
@@ -242,6 +274,17 @@ mod tests {
             (alias.im - peak_w).abs() < 0.1 * peak_w,
             "pole Im {} vs peak at {peak_w}",
             alias.im
+        );
+    }
+
+    #[test]
+    fn deadline_stops_the_pole_search() {
+        let m = model(0.2);
+        let err = dominant_poles_deadline(&m, &Deadline::after_checks(70)).unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded { .. }), "{err}");
+        assert_eq!(
+            dominant_poles_deadline(&m, &Deadline::none()).unwrap(),
+            dominant_poles(&m).unwrap()
         );
     }
 

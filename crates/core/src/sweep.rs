@@ -692,7 +692,7 @@ pub fn bode_grid<F: Fn(f64) -> Complex + Sync>(f: F, spec: &SweepSpec) -> Vec<Bo
 /// keep the parallel pool load-balanced. Chunk boundaries are fixed by
 /// index, so the partition — and with it every block result — is
 /// independent of the thread count.
-const LAMBDA_CHUNK: usize = 32;
+pub(crate) const LAMBDA_CHUNK: usize = 32;
 
 impl EffectiveGain {
     /// Exact λ(jω) over `spec.grid`, evaluated on the parallel pool in
@@ -705,7 +705,7 @@ impl EffectiveGain {
         let chunks: Vec<&[f64]> = spec.grid.points().chunks(LAMBDA_CHUNK).collect();
         let blocks = par_map(spec.threads, &chunks, |_, ws| {
             let mut out = vec![Complex::ZERO; ws.len()];
-            self.eval_jw_batch(ws, &mut out);
+            self.eval_jw_batch(0.0, ws, &mut out);
             out
         });
         blocks.into_iter().flatten().collect()

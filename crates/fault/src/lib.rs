@@ -5,14 +5,14 @@
 //! `sweep.nan`, `sweep.panic`, `sweep.slow`, `cache.evict`,
 //! `serve.malformed`, …) and gives each a deterministic firing rule.
 //! Production code queries [`fires`]/[`fire_arg`] at its injection
-//! points; with no plan installed every query is a single relaxed
-//! atomic load and a branch, following the `htmpll-obs` enablement
-//! pattern, so instrumented builds pay nothing in normal operation.
+//! points; outside a fault [`Scope`] every query is one thread-local
+//! load and a branch, following the `htmpll-obs` enablement pattern, so
+//! instrumented builds pay nothing in normal operation.
 //!
 //! ## Determinism contract
 //!
 //! A firing decision is a pure function of
-//! `(plan seed, site name, ambient scope, caller key)` — never of
+//! `(plan seed, site name, scope key, caller key)` — never of
 //! wall-clock time, thread identity, or call order. Running the same
 //! workload under the same plan with 1 or N worker threads therefore
 //! injects the *same* faults at the *same* points, which is what lets
@@ -21,16 +21,19 @@
 //!
 //! ## Scopes
 //!
-//! Injection is **scope-gated**: [`fires`] returns `false` unless the
-//! calling thread (or a parallel worker it spawned — `htmpll-par`
-//! re-establishes the caller's scope inside its workers) is inside a
-//! [`scope_guard`]. The serve worker sets the scope to a hash of the
-//! request's canonical JSON, so a plan can select a deterministic
-//! *fraction of requests* (`scope:F`) to fault while the rest of the
-//! traffic must stay byte-identical — the invariant the chaos harness
-//! checks. Code that never establishes a scope (ordinary unit tests,
-//! library callers) is immune to an installed plan. The one escape
-//! hatch is [`fires_global`] for sites that key themselves (the serve
+//! There is no process-wide plan. A plan reaches the injection sites
+//! only as part of the calling thread's ambient [`Scope`] — the plan
+//! plus a scope key — entered with [`scope_guard`] (`htmpll-par`
+//! re-enters the caller's scope inside its workers). The serve worker
+//! enters a scope keyed by a hash of the request's canonical JSON, so a
+//! plan can select a deterministic *fraction of requests* (`scope:F`)
+//! to fault while the rest of the traffic must stay byte-identical —
+//! the invariant the chaos harness checks. Code that never enters a
+//! scope (ordinary unit tests, library callers) is immune to every
+//! plan, and two callers running different plans concurrently — two
+//! chaos replays in one test binary — never see each other's faults.
+//! The one scope-free entry point is [`fires_global`], which takes the
+//! plan explicitly, for sites that key themselves (the serve
 //! dispatcher's per-line sequence number).
 //!
 //! ## Plan grammar (`HTMPLL_FAULT`)
@@ -51,10 +54,8 @@
 
 #![warn(missing_docs)]
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 /// Environment variable holding the fault plan spec.
 pub const ENV: &str = "HTMPLL_FAULT";
@@ -269,107 +270,92 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-// ---------------------------------------------------------------------
-// Global state: enablement flag, installed plan, fire counts, ambient
-// scope. `ENABLED` is the only thing touched on the disabled fast path.
-// ---------------------------------------------------------------------
+/// The plan named by `HTMPLL_FAULT`, if set and non-empty. Callers
+/// hand it to the scopes they enter (the CLI to its one request, serve
+/// to every worker).
+///
+/// # Errors
+///
+/// The parse error of a malformed spec.
+pub fn plan_from_env() -> Result<Option<Arc<FaultPlan>>, String> {
+    match std::env::var(ENV) {
+        Ok(spec) => {
+            let plan = FaultPlan::parse(&spec)?;
+            Ok((!plan.is_empty()).then(|| Arc::new(plan)))
+        }
+        Err(_) => Ok(None),
+    }
+}
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-static FIRES: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+/// A fault plan bound to one scope key: the ambient fault context a
+/// request runs under.
+#[derive(Debug, Clone)]
+pub struct Scope {
+    plan: Arc<FaultPlan>,
+    key: u64,
+}
+
+impl Scope {
+    /// `plan` applied under scope key `key` (a hash of the request).
+    pub fn new(plan: Arc<FaultPlan>, key: u64) -> Scope {
+        Scope { plan, key }
+    }
+
+    /// The scope key.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+}
 
 thread_local! {
-    static SCOPE: Cell<Option<u64>> = const { Cell::new(None) };
+    static SCOPE: RefCell<Option<Scope>> = const { RefCell::new(None) };
+    /// `SCOPE.is_some()`, kept apart so the check outside a scope is a
+    /// plain load (a `Cell<bool>` needs no destructor registration).
+    static ARMED: Cell<bool> = const { Cell::new(false) };
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// True when a non-empty plan is installed. One relaxed atomic load.
+/// True when the calling thread is inside a fault scope. One
+/// thread-local load.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ARMED.with(Cell::get)
 }
 
-/// Installs a plan process-wide and resets the fire counts. An empty
-/// plan disables injection (same as [`clear`]).
-pub fn install(plan: FaultPlan) {
-    let on = !plan.is_empty();
-    *lock(&PLAN) = on.then(|| Arc::new(plan));
-    lock(&FIRES).clear();
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Removes any installed plan and resets the fire counts.
-pub fn clear() {
-    ENABLED.store(false, Ordering::Relaxed);
-    *lock(&PLAN) = None;
-    lock(&FIRES).clear();
-}
-
-/// Installs the plan named by `HTMPLL_FAULT`, if set; clears otherwise.
-/// A malformed spec clears the plan and reports the parse error.
-pub fn init_from_env() -> Result<(), String> {
-    match std::env::var(ENV) {
-        Ok(spec) if !spec.trim().is_empty() => match FaultPlan::parse(&spec) {
-            Ok(plan) => {
-                install(plan);
-                Ok(())
-            }
-            Err(e) => {
-                clear();
-                Err(e)
-            }
-        },
-        _ => {
-            clear();
-            Ok(())
-        }
-    }
-}
-
-/// The currently installed plan, if any.
-pub fn active_plan() -> Option<Arc<FaultPlan>> {
-    if !enabled() {
-        return None;
-    }
-    lock(&PLAN).clone()
+/// Makes `scope` the calling thread's scope; returns the previous one.
+fn swap_scope(scope: Option<Scope>) -> Option<Scope> {
+    ARMED.with(|a| a.set(scope.is_some()));
+    SCOPE.with(|s| s.replace(scope))
 }
 
 /// RAII ambient-scope marker; restores the previous scope on drop.
 #[must_use = "the scope is cleared when the guard drops"]
 pub struct ScopeGuard {
-    prev: Option<u64>,
+    prev: Option<Scope>,
 }
 
 /// Establishes `scope` as the calling thread's ambient fault scope for
 /// the guard's lifetime (`None` clears it). Nesting restores outward.
-pub fn scope_guard(scope: Option<u64>) -> ScopeGuard {
+pub fn scope_guard(scope: Option<Scope>) -> ScopeGuard {
     ScopeGuard {
-        prev: SCOPE.with(|c| c.replace(scope)),
+        prev: swap_scope(scope),
     }
 }
 
-/// The calling thread's ambient fault scope, if any.
-pub fn current_scope() -> Option<u64> {
-    SCOPE.with(|c| c.get())
+/// The calling thread's ambient fault scope, if any — what a parallel
+/// map captures and re-enters on its workers.
+pub fn current_scope() -> Option<Scope> {
+    SCOPE.with(|s| s.borrow().clone())
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        SCOPE.with(|c| c.set(self.prev));
+        swap_scope(self.prev.take());
     }
 }
 
-fn count_fire(site: &str) {
-    *lock(&FIRES).entry(site.to_string()).or_insert(0) += 1;
-}
-
-/// Whether `site` fires for `key` under the installed plan and the
-/// ambient scope. Without an ambient scope this is always `false`
-/// (injection is scope-gated; see the crate docs), so code outside an
-/// explicit fault scope is immune to an installed plan.
+/// Whether `site` fires for `key` under the ambient scope's plan.
+/// Outside a scope this is always `false`, so code that never enters
+/// one is immune to every plan.
 #[inline]
 pub fn fires(site: &str, key: u64) -> bool {
     fire_arg(site, key).is_some()
@@ -382,27 +368,20 @@ pub fn fire_arg(site: &str, key: u64) -> Option<u64> {
     if !enabled() {
         return None;
     }
-    let scope = current_scope()?;
-    let arg = active_plan()?.decide(site, Some(scope), key)?;
-    count_fire(site);
-    Some(arg)
+    SCOPE.with(|s| {
+        let scope = s.borrow();
+        let scope = scope.as_ref()?;
+        scope.plan.decide(site, Some(scope.key), key)
+    })
 }
 
-/// Scope-free firing decision for sites that key themselves (e.g. the
-/// serve dispatcher keying on the per-line sequence number). Prefer
-/// [`fires`] everywhere a request scope exists.
+/// Scope-free firing decision under an explicit `plan`, for sites that
+/// key themselves (e.g. the serve dispatcher keying on the per-line
+/// sequence number). Prefer [`fires`] everywhere a request scope
+/// exists.
 #[inline]
-pub fn fires_global(site: &str, key: u64) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let fired = active_plan()
-        .and_then(|p| p.decide(site, None, key))
-        .is_some();
-    if fired {
-        count_fire(site);
-    }
-    fired
+pub fn fires_global(plan: Option<&FaultPlan>, site: &str, key: u64) -> bool {
+    plan.is_some_and(|p| p.decide(site, None, key).is_some())
 }
 
 /// Panics iff `site` fires for `key` — the `sweep.panic`-style sites.
@@ -427,21 +406,12 @@ pub fn slow_if(site: &str, key: u64) {
     }
 }
 
-/// Fire counts per site since the last [`install`]/[`clear`], sorted
-/// by site name.
-pub fn report() -> Vec<(String, u64)> {
-    lock(&FIRES).iter().map(|(k, v)| (k.clone(), *v)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex as TestMutex, MutexGuard as TestMutexGuard};
 
-    /// Serializes tests that install process-global plans.
-    fn plan_lock() -> TestMutexGuard<'static, ()> {
-        static LOCK: TestMutex<()> = TestMutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn scope(spec: &str, key: u64) -> Option<Scope> {
+        Some(Scope::new(Arc::new(FaultPlan::parse(spec).unwrap()), key))
     }
 
     #[test]
@@ -538,14 +508,13 @@ mod tests {
     }
 
     #[test]
-    fn global_state_gates_on_scope_and_counts_fires() {
-        let _guard = plan_lock();
-        install(FaultPlan::parse("seed=5;x=always").unwrap());
-        assert!(enabled());
+    fn injection_needs_an_ambient_scope() {
+        assert!(!enabled());
         assert!(!fires("x", 1), "no ambient scope → no injection");
         {
-            let _scope = scope_guard(Some(77));
-            assert_eq!(current_scope(), Some(77));
+            let _scope = scope_guard(scope("seed=5;x=always", 77));
+            assert!(enabled());
+            assert_eq!(current_scope().map(|s| s.key()), Some(77));
             assert!(fires("x", 1));
             assert_eq!(fire_arg("x", 2), Some(0));
             {
@@ -554,43 +523,48 @@ mod tests {
             }
             assert!(fires("x", 3), "outer scope restored");
         }
-        assert_eq!(current_scope(), None);
-        let report = report();
-        assert_eq!(report, vec![("x".to_string(), 3)]);
-        clear();
-        assert!(!enabled());
-        let _scope = scope_guard(Some(77));
-        assert!(!fires("x", 1), "cleared plan never fires");
+        assert!(current_scope().is_none());
+        assert!(!fires("x", 1));
+    }
+
+    #[test]
+    fn scopes_are_per_thread() {
+        // Two threads under different plans at the same time: each sees
+        // only its own (the race a process-global plan had).
+        std::thread::scope(|t| {
+            for (spec, site) in [("seed=1;a=always", "a"), ("seed=1;b=always", "b")] {
+                t.spawn(move || {
+                    let _scope = scope_guard(scope(spec, 9));
+                    for k in 0..1000 {
+                        assert!(fires(site, k));
+                        assert!(!fires(if site == "a" { "b" } else { "a" }, k));
+                    }
+                });
+            }
+        });
+        assert!(!enabled(), "spawned scopes never leak to the parent");
     }
 
     #[test]
     fn fires_global_ignores_scope() {
-        let _guard = plan_lock();
-        install(FaultPlan::parse("seed=5;m=key:4").unwrap());
-        assert!(fires_global("m", 4));
-        assert!(!fires_global("m", 5));
-        clear();
+        let plan = FaultPlan::parse("seed=5;m=key:4").unwrap();
+        assert!(fires_global(Some(&plan), "m", 4));
+        assert!(!fires_global(Some(&plan), "m", 5));
+        assert!(!fires_global(None, "m", 4));
     }
 
     #[test]
     fn panic_if_unwinds_only_when_fired() {
-        let _guard = plan_lock();
-        install(FaultPlan::parse("seed=5;p=key:9").unwrap());
-        let _scope = scope_guard(Some(1));
+        let _scope = scope_guard(scope("seed=5;p=key:9", 1));
         panic_if("p", 8); // must not panic
         let caught = std::panic::catch_unwind(|| panic_if("p", 9));
         assert!(caught.is_err());
-        clear();
     }
 
     #[test]
     fn empty_and_env_style_specs() {
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse(" ; ; ").unwrap().is_empty());
-        let _guard = plan_lock();
-        install(FaultPlan::parse("").unwrap());
-        assert!(!enabled(), "empty plan disables injection");
-        clear();
     }
 
     #[test]

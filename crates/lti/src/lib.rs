@@ -48,7 +48,7 @@ pub use filters::{ChargePumpFilter2, ChargePumpFilter3, FilterError};
 pub use grid::{FrequencyGrid, GridError};
 pub use margins::{
     bandwidth_3db, bandwidth_3db_precomputed, margin_scan_grid, peaking_db, peaking_db_precomputed,
-    stability_margins, stability_margins_precomputed, unity_gain_crossings,
+    peaking_db_refined, stability_margins, stability_margins_precomputed, unity_gain_crossings,
     unity_gain_crossings_precomputed, MarginError, Margins,
 };
 pub use pfe::{Pfe, PfeTerm};

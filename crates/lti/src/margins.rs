@@ -16,7 +16,7 @@
 //! assert!((m.phase_margin_deg - 18.0).abs() < 0.5);
 //! ```
 
-use htmpll_num::optim::{brent, find_brackets, log_grid};
+use htmpll_num::optim::{brent, find_brackets, golden_max, log_grid};
 use htmpll_num::Complex;
 use std::fmt;
 
@@ -225,9 +225,12 @@ pub fn bandwidth_3db_precomputed<F: FnMut(f64) -> Complex>(
 }
 
 /// Maximum closed-loop magnitude (peaking) of `f` over `[wmin, wmax]`,
-/// in dB relative to the response at `w_ref`. Grid-resolution search with
-/// local golden-section refinement is unnecessary here: the grid is dense
-/// enough for the smooth responses this crate targets.
+/// in dB relative to the response at `w_ref`, at grid resolution: the
+/// largest `|f|` among the scan points, with no refinement. A resonance
+/// narrower than the grid spacing is under-read — on a 2048-point scan
+/// of stable sampled loops by up to ~18 dB at an effective phase margin
+/// below 5°, ~1 dB at 5–15°, and ≤ 1e-3 dB from 30° up. Use
+/// [`peaking_db_refined`] when the value must be the true maximum.
 pub fn peaking_db<F: FnMut(f64) -> Complex>(mut f: F, w_ref: f64, wmin: f64, wmax: f64) -> f64 {
     let grid = margin_scan_grid(wmin, wmax);
     let values: Vec<Complex> = grid.iter().map(|&w| f(w)).collect();
@@ -244,6 +247,40 @@ pub fn peaking_db_precomputed<F: FnMut(f64) -> Complex>(
     let base = f(w_ref).abs();
     let peak = values.iter().map(|v| v.abs()).fold(0.0, f64::max);
     20.0 * (peak / base).log10()
+}
+
+/// Relative `ω` tolerance of the golden-section refinement in
+/// [`peaking_db_refined`]: a quadratic maximum is flat to rounding well
+/// inside it, so the refined value is the peak to ~1e-12 dB even for a
+/// resonance a hundred times narrower than its bracket.
+const PEAK_REFINE_TOL: f64 = 1e-9;
+
+/// [`peaking_db_precomputed`] with every local maximum of the scan
+/// refined by golden-section search over its two neighbouring cells, so
+/// a coarse grid still reports the true peak of each resonance it
+/// brackets. The result is never below the grid-resolution value on the
+/// same grid. `f` is called at `w_ref` and during refinement.
+///
+/// # Panics
+///
+/// Panics when `grid` and `values` lengths differ.
+pub fn peaking_db_refined<F: FnMut(f64) -> Complex>(
+    mut f: F,
+    w_ref: f64,
+    grid: &[f64],
+    values: &[Complex],
+) -> f64 {
+    assert_eq!(grid.len(), values.len(), "grid/values length mismatch");
+    let mags: Vec<f64> = values.iter().map(|v| v.abs()).collect();
+    let mut peak = mags.iter().copied().fold(0.0, f64::max);
+    for i in 1..mags.len().saturating_sub(1) {
+        if mags[i] >= mags[i - 1] && mags[i] >= mags[i + 1] {
+            let (lo, hi) = (grid[i - 1], grid[i + 1]);
+            let (_, m) = golden_max(|w| f(w).abs(), lo, hi, PEAK_REFINE_TOL * hi, 200);
+            peak = peak.max(m);
+        }
+    }
+    20.0 * (peak / f(w_ref).abs()).log10()
 }
 
 #[cfg(test)]
@@ -333,6 +370,25 @@ mod tests {
         let zeta: f64 = 0.1;
         let expect = 20.0 * (1.0 / (2.0 * zeta * (1.0 - zeta * zeta).sqrt())).log10();
         assert!((p - expect).abs() < 0.01, "{p} vs {expect}");
+    }
+
+    #[test]
+    fn refined_peaking_recovers_a_resonance_the_grid_misses() {
+        // ζ = 0.005: the resonance is ~1 % wide, far below the spacing of
+        // a 64-point grid over six decades (~25 % per step).
+        let h = Tf::from_coeffs(vec![1.0], vec![1.0, 0.01, 1.0]).unwrap();
+        let grid = log_grid(1e-3, 1e3, 64);
+        let values: Vec<Complex> = grid.iter().map(|&w| h.eval_jw(w)).collect();
+        let coarse = peaking_db_precomputed(|w| h.eval_jw(w), 1e-3, &values);
+        let refined = peaking_db_refined(|w| h.eval_jw(w), 1e-3, &grid, &values);
+        let zeta: f64 = 0.005;
+        let peak = 1.0 / (2.0 * zeta * (1.0 - zeta * zeta).sqrt());
+        let expect = 20.0 * (peak / h.eval_jw(1e-3).abs()).log10();
+        assert!((refined - expect).abs() < 1e-9, "{refined} vs {expect}");
+        assert!(
+            coarse < expect - 3.0,
+            "grid alone must under-read: {coarse}"
+        );
     }
 
     #[test]

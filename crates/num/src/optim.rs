@@ -1,9 +1,10 @@
-//! Scalar root bracketing and refinement.
+//! Scalar root bracketing and refinement, and 1-D maximisation.
 //!
 //! Margin extraction (unity-gain crossover, phase crossover, −3 dB
 //! bandwidth) reduces to 1-D root finding on smooth functions of
-//! frequency. This module provides grid bracketing plus bisection and
-//! Brent refinement.
+//! frequency, and closed-loop peaking to a 1-D maximum. This module
+//! provides grid bracketing plus bisection and Brent refinement, and
+//! golden-section search for a bracketed maximum.
 //!
 //! ```
 //! use htmpll_num::optim::{bisect, brent};
@@ -171,6 +172,61 @@ pub fn brent<F: FnMut(f64) -> f64>(
     Err(RootError::MaxIterations)
 }
 
+/// Golden-section search for the maximum of `f` on `[a, b]`.
+///
+/// Shrinks the interval by the golden ratio per evaluation until it is
+/// narrower than `tol` (or `max_iter` evaluations have run) and returns
+/// the best interior point seen with its value, `(x, f(x))`. On a
+/// unimodal `f` that is the maximum to within `tol` in `x`; otherwise it
+/// is a local maximum. The endpoints themselves are never evaluated —
+/// callers bracketing a grid maximum already hold those values. A NaN
+/// value ranks below every number.
+pub fn golden_max<F: FnMut(f64) -> f64>(
+    mut f: F,
+    mut a: f64,
+    mut b: f64,
+    tol: f64,
+    max_iter: usize,
+) -> (f64, f64) {
+    // 1/φ = (√5 − 1)/2.
+    const INV_PHI: f64 = 0.618_033_988_749_894_9;
+    let mut g = |x: f64| {
+        let v = f(x);
+        if v.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            v
+        }
+    };
+    let mut c = b - INV_PHI * (b - a);
+    let mut d = a + INV_PHI * (b - a);
+    let mut fc = g(c);
+    let mut fd = g(d);
+    for _ in 0..max_iter {
+        if (b - a).abs() <= tol {
+            break;
+        }
+        if fc >= fd {
+            b = d;
+            d = c;
+            fd = fc;
+            c = b - INV_PHI * (b - a);
+            fc = g(c);
+        } else {
+            a = c;
+            c = d;
+            fc = fd;
+            d = a + INV_PHI * (b - a);
+            fd = g(d);
+        }
+    }
+    if fc >= fd {
+        (c, fc)
+    } else {
+        (d, fd)
+    }
+}
+
 /// Scans `f` over a grid and returns every `(left, right)` cell whose
 /// endpoints straddle zero (sign change or exact zero at the left edge).
 ///
@@ -293,6 +349,49 @@ mod tests {
             brent(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100),
             Err(RootError::NotBracketed { .. })
         ));
+    }
+
+    #[test]
+    fn golden_max_finds_interior_peak() {
+        let mut calls = 0;
+        let (x, v) = golden_max(
+            |x| {
+                calls += 1;
+                -(x - 0.3).powi(2) + 2.0
+            },
+            -1.0,
+            2.0,
+            1e-10,
+            200,
+        );
+        // A quadratic maximum is flat to rounding within ~√ε of its
+        // location, so x is only that accurate; the value is exact.
+        assert!((x - 0.3).abs() < 1e-7, "{x}");
+        assert!((v - 2.0).abs() < 1e-15);
+        // 3 → 1e-10 at 0.618 per step: ~50 evaluations.
+        assert!(calls < 60, "{calls}");
+    }
+
+    #[test]
+    fn golden_max_resolves_a_sharp_resonance() {
+        // |1/(1 − (x/x0)² + jx/(Q·x0))| with Q = 100: a peak of width
+        // ~x0/Q inside a bracket a hundred widths wide.
+        let x0 = 1.7;
+        let f = |x: f64| {
+            let u = x / x0;
+            1.0 / ((1.0 - u * u).powi(2) + (u / 100.0).powi(2)).sqrt()
+        };
+        let (x, v) = golden_max(f, 1.2, 2.4, 1e-12, 200);
+        assert!((x - x0).abs() < 1e-3, "{x}");
+        // Peak of a Q = 100 resonance: Q/√(1 − 1/(4Q²)).
+        let peak = 100.0 / (1.0 - 1.0 / 40_000.0f64).sqrt();
+        assert!((v - peak).abs() < 1e-8 * peak, "{v} vs {peak}");
+    }
+
+    #[test]
+    fn golden_max_ranks_nan_below_numbers() {
+        let (x, v) = golden_max(|x| if x < 0.5 { f64::NAN } else { -x }, 0.0, 1.0, 1e-9, 200);
+        assert!(v.is_finite() && (x - 0.5).abs() < 1e-6, "{x} {v}");
     }
 
     #[test]

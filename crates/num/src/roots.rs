@@ -68,8 +68,43 @@ pub fn find_roots(p: &Poly) -> Result<Vec<Complex>, FindRootsError> {
     if reduced.degree() == 0 {
         return Ok(roots);
     }
-    roots.extend(aberth(&reduced)?);
+    // Balance: find the roots of q(y) = p(2ᵏ·y), whose roots sit near
+    // unit magnitude, and scale them back. Loops in physical units put
+    // their poles at 1e6–1e9 rad/s with coefficients spanning ~40
+    // decades; Aberth started on the Cauchy circle of such a polynomial
+    // converges to garbage. The change of variable multiplies by exact
+    // powers of two, so it costs no precision (and k = 0 leaves
+    // well-scaled polynomials bit-for-bit on the direct path).
+    let k = balance_exponent(&reduced);
+    let step = 2f64.powi(k);
+    let mut scaled = reduced.coeffs().to_vec();
+    for (i, c) in scaled.iter_mut().enumerate() {
+        // i exact power-of-two scalings: each intermediate lies between cᵢ and the
+        // balanced coefficient, so none can overflow.
+        for _ in 0..i {
+            *c *= step;
+        }
+    }
+    roots.extend(
+        aberth(&Poly::new(scaled))?
+            .into_iter()
+            .map(|y| y.scale(step)),
+    );
     Ok(roots)
+}
+
+/// The power-of-two exponent `k` with `2ᵏ ≈ |c₀/cₙ|^{1/n}`, the
+/// geometric mean of the root magnitudes of `p` (degree `n ≥ 1`, nonzero
+/// constant term).
+fn balance_exponent(p: &Poly) -> i32 {
+    let c = p.coeffs();
+    let n = p.degree();
+    let k = ((c[0] / c[n]).abs().log2() / n as f64).round();
+    if k.is_finite() {
+        k as i32
+    } else {
+        0
+    }
 }
 
 /// Upper bound on root magnitudes (Cauchy bound).
@@ -210,6 +245,30 @@ mod tests {
             roots.iter().any(|z| (*z - target).abs() < tol),
             "no root near {target} in {roots:?}"
         );
+    }
+
+    #[test]
+    fn physical_unit_roots_are_recovered() {
+        // A Padé-3 delay times a charge-pump filter at a tens-of-MHz
+        // reference: roots from 1e7 to 2e9 rad/s, coefficients spanning
+        // ~45 decades. Unbalanced, Aberth returned roots near 1e21.
+        let targets = [
+            Complex::from_re(-1.0e7),
+            Complex::from_re(-3.0e8),
+            Complex::new(-5.0e8, 4.0e8),
+            Complex::new(-5.0e8, -4.0e8),
+            Complex::from_re(-2.0e9),
+        ];
+        let mut p = Poly::constant(1.0);
+        for z in [-1.0e7, -3.0e8, -2.0e9] {
+            p = &p * &Poly::new(vec![-z, 1.0]);
+        }
+        p = &p * &Poly::new(vec![4.1e17, 1.0e9, 1.0]);
+        let r = find_roots(&p).unwrap();
+        assert_eq!(r.len(), 5);
+        for t in targets {
+            assert_contains_root(&r, t, 1e-9 * t.abs());
+        }
     }
 
     #[test]

@@ -745,25 +745,20 @@ mod tests {
     #[test]
     fn pivot_fail_injection_escalates_to_full_pivot() {
         let a = random_like(8, 3);
-        htmpll_fault::install(
+        let plan = std::sync::Arc::new(
             htmpll_fault::FaultPlan::parse("seed=1;lu.pivot_fail=always").unwrap(),
         );
         let faulted = {
-            let _scope = htmpll_fault::scope_guard(Some(7));
+            let _scope = htmpll_fault::scope_guard(Some(htmpll_fault::Scope::new(plan, 7)));
             RobustLu::factor(&a).unwrap()
         };
-        htmpll_fault::clear();
         // Forced past rung 1: the ladder escalated but the result is
         // still unperturbed (Refined, not Perturbed — a correct value).
         assert!(faulted.report().escalated(), "{:?}", faulted.report());
         assert!(!faulted.report().perturbed);
-        // Without an ambient scope the same plan never fires, so code
-        // outside explicit fault scopes is immune.
-        htmpll_fault::install(
-            htmpll_fault::FaultPlan::parse("seed=1;lu.pivot_fail=always").unwrap(),
-        );
+        // Outside the scope the same plan never fires, so code outside
+        // explicit fault scopes is immune.
         let unscoped = RobustLu::factor(&a).unwrap();
-        htmpll_fault::clear();
         assert!(!unscoped.report().escalated());
     }
 

@@ -193,6 +193,7 @@ where
         let init = &init;
         let f = &f;
         for widx in 0..threads {
+            let fault_scope = fault_scope.clone();
             scope.spawn(move || {
                 let _fault = htmpll_fault::scope_guard(fault_scope);
                 // Busy/steal timeline: the worker span brackets this
@@ -327,6 +328,7 @@ where
         let init = &init;
         let f = &f;
         for widx in 0..threads {
+            let fault_scope = fault_scope.clone();
             scope.spawn(move || {
                 let _fault = htmpll_fault::scope_guard(fault_scope);
                 let _wspan = htmpll_obs::trace_span("par", || format!("worker{{w{widx}}}"));

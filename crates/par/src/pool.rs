@@ -200,6 +200,7 @@ impl Pool {
         for _ in 0..jobs {
             let state = Arc::clone(&state);
             let f = Arc::clone(&f);
+            let fault_scope = fault_scope.clone();
             self.execute(move || {
                 let _fault = htmpll_fault::scope_guard(fault_scope);
                 let _guard = JobGuard { state: &*state };
@@ -286,6 +287,7 @@ impl Pool {
             let state = Arc::clone(&state);
             let f = Arc::clone(&f);
             let deadline = deadline.clone();
+            let fault_scope = fault_scope.clone();
             self.execute(move || {
                 let _fault = htmpll_fault::scope_guard(fault_scope);
                 let _guard = JobGuard { state: &*state };

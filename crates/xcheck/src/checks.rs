@@ -14,6 +14,7 @@
 //! | `closed-loop-sampled` | `λ/(1+λ)` vs `G/(1+G)` | sampled closed loop |
 //! | `jury-vs-nyquist` | Jury test vs HTM-Nyquist verdict | same stability boundary |
 //! | `crossing-consistency` | analysis margins vs direct λ | `\|λ(jω_UG,eff)\| = 1` |
+//! | `refined-vs-grid` | refined analysis vs the dense-grid referee | same outputs, two scan strategies |
 //! | `sim-h00` | multitone simulation vs `H₀,₀` | paper Fig. 6 |
 //! | `sim-spur` | Goertzel on sim trace vs `LeakageSpurs` | reference-spur closed form |
 //! | `sim-psd-parseval` | PSD of sim record vs its mean square | Parseval |
@@ -27,6 +28,7 @@
 //! across thread counts.
 
 use crate::corpus::{corpus, Scenario};
+use crate::grid_reference::{grid_reference, GridReport};
 use crate::report::{CheckResult, ScenarioReport, StackTimings, Verdict, XcheckReport};
 use crate::tolerance::{ladder, EXACT_TIER};
 use htmpll_core::{
@@ -466,6 +468,100 @@ fn check_crossing(model: &PllModel, report: &AnalysisReport) -> Vec<CheckResult>
     ]
 }
 
+/// Largest peaking shortfall (dB) of the refined analysis below the
+/// dense grid that still counts as equal: ~1e-10 relative in magnitude.
+const PEAK_AGREE_DB: f64 = 1e-9;
+
+/// The refined analysis against the dense-grid referee. Crossover,
+/// phase margin, bandwidth and both stability verdicts are the same
+/// quantities reached through a different scan, so they must agree to
+/// the exact tier. Peaking is graded one-sided: refinement finds the
+/// maximum of each bracketed resonance, which the grid can only
+/// under-read, so a refined value above the grid is tolerated (the gap,
+/// in dB, is the reported deviation) and one below it is a mismatch.
+fn check_refined_vs_grid(report: &AnalysisReport, grid: &GridReport) -> Vec<CheckResult> {
+    const STACKS: &str = "core::analyze (refined) vs dense-grid referee";
+    let exact = |check, deviation: f64, values| {
+        grade(
+            check,
+            STACKS,
+            "Brent refinement from different brackets",
+            EXACT_TIER,
+            &[Pt {
+                deviation,
+                bound: EXACT_TIER,
+                values,
+            }],
+        )
+    };
+    let (r, g) = (report, grid);
+    let mut checks = vec![
+        exact(
+            "refined-vs-grid-crossover",
+            (r.omega_ug_eff / g.omega_ug_eff - 1.0).abs(),
+            (r.omega_ug_eff, g.omega_ug_eff),
+        ),
+        exact(
+            "refined-vs-grid-phase-margin",
+            (r.phase_margin_eff_deg - g.phase_margin_eff_deg).abs() / 180.0,
+            (r.phase_margin_eff_deg, g.phase_margin_eff_deg),
+        ),
+        grade_bool(
+            "refined-vs-grid-nyquist",
+            STACKS,
+            r.nyquist_stable,
+            g.nyquist_stable,
+        ),
+        grade_bool(
+            "refined-vs-grid-sampling-limit",
+            STACKS,
+            r.beyond_sampling_limit,
+            g.beyond_sampling_limit,
+        ),
+        match (r.bandwidth_3db, g.bandwidth_3db) {
+            (Some(a), Some(b)) => exact("refined-vs-grid-bandwidth", (a / b - 1.0).abs(), (a, b)),
+            (a, b) => grade_bool(
+                "refined-vs-grid-bandwidth",
+                STACKS,
+                a.is_some(),
+                b.is_some(),
+            ),
+        },
+    ];
+    for (check, refined, dense) in [
+        ("refined-vs-grid-peaking", r.peaking_db, g.peaking_db),
+        (
+            "refined-vs-grid-peaking-lti",
+            r.peaking_lti_db,
+            g.peaking_lti_db,
+        ),
+    ] {
+        let gap = refined - dense;
+        // The grid's maximum is at least its low-end point (0 dB), so it
+        // can under-read by at most the refined peaking itself.
+        let verdict = if gap.is_finite() && gap.abs() <= PEAK_AGREE_DB {
+            Verdict::Agree
+        } else if gap.is_finite() && gap > 0.0 && gap <= refined.max(0.0) + PEAK_AGREE_DB {
+            Verdict::ToleratedDivergence {
+                bound: refined.max(0.0) + PEAK_AGREE_DB,
+                reason: "one-sided: the grid under-reads a peak between its points",
+            }
+        } else {
+            Verdict::Mismatch {
+                stacks: STACKS,
+                values: (refined, dense),
+            }
+        };
+        checks.push(CheckResult {
+            check,
+            stacks: STACKS,
+            deviation: gap,
+            verdict,
+        });
+    }
+    checks
+}
+
 /// Time-domain leg: multitone-simulated `H₀,₀` against the closed form.
 /// Agreement is statistical — finite pulse width (the impulse-PFD
 /// idealization, paper Fig. 4) and finite-record tone extraction bound
@@ -574,6 +670,7 @@ fn run_scenario(s: &Scenario) -> Result<(ScenarioReport, StackTimings), XcheckEr
     let t0 = Instant::now();
     let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
     checks.extend(check_crossing(&model, &report));
+    checks.extend(check_refined_vs_grid(&report, &grid_reference(&model)?));
     tm.lambda_ms += ms_since(t0);
 
     // z-domain stack (scalar LTI model: skip for time-varying ISF).

@@ -42,10 +42,12 @@
 
 pub mod checks;
 pub mod corpus;
+pub mod grid_reference;
 pub mod report;
 pub mod tolerance;
 
 pub use checks::{run_corpus, XcheckError};
 pub use corpus::{corpus, FilterKind, Scenario};
+pub use grid_reference::{grid_reference, GridReport};
 pub use report::{CheckResult, ScenarioReport, StackTimings, Verdict, XcheckReport};
 pub use tolerance::{ladder, EXACT_TIER};

@@ -139,7 +139,7 @@ fn main() {
     });
     bench("lambda_grid", &mut legs, &mut || {
         let mut out = vec![Complex::ZERO; omegas.len()];
-        lam.eval_jw_batch(&omegas, &mut out);
+        lam.eval_jw_batch(0.0, &omegas, &mut out);
         std::hint::black_box(&out);
     });
 

@@ -20,6 +20,18 @@ HTMPLL_THREADS=4 cargo test --workspace -q
 echo "==> cargo test -q (workspace, HTMPLL_SIMD=0 forced-scalar)"
 HTMPLL_SIMD=0 cargo test --workspace -q
 
+echo "==> determinism suites repeated 5x at default parallelism"
+# Tests in one binary run concurrently; anything process-global that a
+# test flips (a fault plan, a SIMD level) shows up here as a flake.
+for i in 1 2 3 4 5; do
+    cargo test -q --test parallel_determinism --test explore --test chaos --test simd_kernels \
+        > /dev/null || {
+        echo "determinism repeat leg failed on run $i" >&2
+        exit 1
+    }
+done
+echo "determinism repeat leg ok (5/5)"
+
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -150,6 +162,11 @@ grep -q '"mismatch":0' "$x1" || {
 # digest across HTMPLL_THREADS=1 and =4. Assert it actually ran.
 grep -q 'structured-vs-dense' "$x1" || {
     echo "xcheck leg failed: structured-vs-dense reconciliation missing from report" >&2
+    exit 1
+}
+# Likewise the refined analysis against its dense-grid referee.
+grep -q 'refined-vs-grid' "$x1" || {
+    echo "xcheck leg failed: refined-vs-grid reconciliation missing from report" >&2
     exit 1
 }
 digest=$(grep -o '"digest":"[0-9a-f]*"' "$x1" | head -1)

@@ -22,6 +22,9 @@ use htmpll::requests::{Params, Request, RequestId};
 use htmpll::service::{envelope, handle, serve_lines, Response, ServeOptions, ServiceCtx};
 use std::process::ExitCode;
 
+/// The fault plan a command runs under (`HTMPLL_FAULT`, if set).
+type FaultPlanRef = Option<std::sync::Arc<htmpll::fault::FaultPlan>>;
+
 const USAGE: &str =
     "usage: plltool <analyze|sweep|bode|step|spur|optimize|explore|hop|doctor|xcheck|metrics|trace|profile|serve|chaos> [--key value ...]
   analyze --ratio R [--spread S] [--symbolic x] [--pfd sh]
@@ -93,7 +96,7 @@ const USAGE: &str =
 /// layer: print the human rendering, then write the optional envelope
 /// files, then surface the command's failure (if any) for exit 2.
 /// `trace` wraps this, so everything here is traceable.
-fn run_request(cmd: &str, params: &Params) -> Result<(), String> {
+fn run_request(cmd: &str, params: &Params, fault_plan: &FaultPlanRef) -> Result<(), String> {
     let req = Request::parse(cmd, params).map_err(|e| {
         if e.starts_with("unknown command") {
             format!("{e}\n{USAGE}")
@@ -112,11 +115,13 @@ fn run_request(cmd: &str, params: &Params) -> Result<(), String> {
         htmpll::obs::override_filter("info");
     }
 
-    let ctx = ServiceCtx::new();
+    let ctx = ServiceCtx {
+        fault_plan: fault_plan.clone(),
+        ..ServiceCtx::new()
+    };
     // Same ambient fault scope the serve workers use, so scope-gated
     // HTMPLL_FAULT rules behave identically from the one-shot CLI.
-    let _fault_scope =
-        htmpll::fault::scope_guard(Some(htmpll::fault::fnv64(req.canonical_json().as_bytes())));
+    let _fault_scope = ctx.fault_scope(&req.canonical_json());
     let resp = handle(&req, &ctx);
     print!("{}", resp.render_text());
 
@@ -149,7 +154,7 @@ fn run_request(cmd: &str, params: &Params) -> Result<(), String> {
 /// timeline as Chrome Trace Format JSON (and optionally a folded-stack
 /// flamegraph). The inner command's own flags pass straight through —
 /// `plltool trace sweep --points 5 --out t.json` traces a 5-point sweep.
-fn cmd_trace(inner: &str, params: &Params) -> Result<(), String> {
+fn cmd_trace(inner: &str, params: &Params, fault_plan: &FaultPlanRef) -> Result<(), String> {
     if inner == "trace" || inner == "profile" || inner == "serve" {
         return Err(format!("trace cannot wrap `{inner}`"));
     }
@@ -162,7 +167,7 @@ fn cmd_trace(inner: &str, params: &Params) -> Result<(), String> {
     let spec = params.str_opt("obs").unwrap_or_else(|| "debug".to_string());
     htmpll::obs::override_filter(&spec);
     htmpll::obs::trace_start(capacity);
-    let result = run_request(inner, params);
+    let result = run_request(inner, params, fault_plan);
     let trace = htmpll::obs::trace_stop();
 
     let json = htmpll::obs::chrome_trace_json(&trace);
@@ -209,7 +214,7 @@ fn cmd_chaos(params: &Params) -> Result<(), String> {
 /// The `serve` front end: stdin→stdout JSONL by default, a Unix socket
 /// with `--socket PATH`. The summary line goes to stderr so response
 /// lines stay machine-clean on stdout.
-fn cmd_serve(params: &Params) -> Result<(), String> {
+fn cmd_serve(params: &Params, fault_plan: &FaultPlanRef) -> Result<(), String> {
     let deadline_ms = params.usize_or("deadline-ms", 0)? as u64;
     let opts = ServeOptions {
         workers: params.usize_or("workers", 0)?,
@@ -219,6 +224,7 @@ fn cmd_serve(params: &Params) -> Result<(), String> {
         response_cache: params.usize_or("response-cache", 1024)?,
         log_every: params.usize_or("log-every", 0)? as u64,
         deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
+        fault_plan: fault_plan.clone(),
     };
     if std::env::var_os("HTMPLL_OBS").is_none() {
         htmpll::obs::override_filter("serve=info");
@@ -258,19 +264,19 @@ fn run(argv: &[String]) -> Result<(), String> {
     if threads > 0 {
         std::env::set_var(htmpll::par::THREADS_ENV, threads.to_string());
     }
-    // Arm the deterministic fault-injection layer from HTMPLL_FAULT, so
-    // any subcommand (most usefully serve) can run under a plan.
-    htmpll::fault::init_from_env().map_err(|e| format!("HTMPLL_FAULT: {e}"))?;
+    // The deterministic fault-injection plan from HTMPLL_FAULT, so any
+    // subcommand (most usefully serve) can run under a plan.
+    let fault_plan = htmpll::fault::plan_from_env().map_err(|e| format!("HTMPLL_FAULT: {e}"))?;
     if let Some(inner) = inner {
-        return cmd_trace(inner, &params);
+        return cmd_trace(inner, &params, &fault_plan);
     }
     if cmd == "serve" {
-        return cmd_serve(&params);
+        return cmd_serve(&params, &fault_plan);
     }
     if cmd == "chaos" {
         return cmd_chaos(&params);
     }
-    run_request(cmd, &params)
+    run_request(cmd, &params, &fault_plan)
 }
 
 fn main() -> ExitCode {

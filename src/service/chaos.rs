@@ -22,6 +22,7 @@
 //! [`serve_lines`]: super::serve_lines
 
 use std::io::Cursor;
+use std::sync::{Arc, Once};
 
 use super::server::{serve_lines, ServeOptions, ServeSummary};
 use crate::requests::Request;
@@ -171,29 +172,39 @@ fn analyze_line(id: usize, variant: usize) -> String {
     )
 }
 
-/// Temporarily installs a fault plan process-wide; restores the clean
-/// state on drop (including the early-return and panic paths).
-struct PlanGuard;
-
-impl PlanGuard {
-    fn install(plan: FaultPlan) -> PlanGuard {
-        htmpll_fault::install(plan);
-        PlanGuard
-    }
+/// Silences the report of injected panics (expected, and contained by
+/// serve) while passing every other panic to the previous hook.
+/// Installed once per process and never removed, so concurrent replays
+/// cannot race on the hook.
+fn quiet_injected_panics() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            if !msg.starts_with("fault injection:") {
+                prev(info);
+            }
+        }));
+    });
 }
 
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        htmpll_fault::clear();
-    }
-}
-
-fn serve_once(corpus: &[String], workers: usize) -> Result<(Vec<String>, ServeSummary), String> {
+fn serve_once(
+    corpus: &[String],
+    workers: usize,
+    fault_plan: Option<Arc<FaultPlan>>,
+) -> Result<(Vec<String>, ServeSummary), String> {
     let mut input = corpus.join("\n");
     input.push('\n');
     let mut out = Vec::new();
     let opts = ServeOptions {
         workers,
+        fault_plan,
         ..ServeOptions::default()
     };
     let summary = serve_lines(Cursor::new(input), &mut out, &opts)?;
@@ -201,10 +212,9 @@ fn serve_once(corpus: &[String], workers: usize) -> Result<(Vec<String>, ServeSu
     Ok((text.lines().map(str::to_string).collect(), summary))
 }
 
-/// Runs the three-legged replay and checks every invariant. The
-/// process-global fault plan is installed for the faulted legs and
-/// cleared before returning; callers must not run concurrent
-/// fault-sensitive work.
+/// Runs the three-legged replay and checks every invariant. The fault
+/// plan travels with the faulted legs' serve context, so replays may
+/// run concurrently with each other and with any other work.
 pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
     let corpus = build_corpus(opts.requests.max(8));
     let plan_text = opts.plan.clone().unwrap_or_else(|| default_plan(opts.seed));
@@ -233,21 +243,14 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosReport, String> {
     }
 
     // Leg A: fault-free baseline, single worker.
-    htmpll_fault::clear();
-    let (baseline, a_summary) = serve_once(&corpus, 1)?;
+    let (baseline, a_summary) = serve_once(&corpus, 1, None)?;
 
     // Legs B and C: same plan, different worker counts. Injected
-    // handler panics are expected and contained; silence the default
-    // per-panic backtrace spew for the duration.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let guard = PlanGuard::install(plan);
-    type Leg = (Vec<String>, ServeSummary);
-    let legs: Result<(Leg, Leg), String> =
-        (|| Ok((serve_once(&corpus, 1)?, serve_once(&corpus, workers)?)))();
-    drop(guard);
-    std::panic::set_hook(prev_hook);
-    let ((faulted, b_summary), (faulted_mt, c_summary)) = legs?;
+    // handler panics are expected and contained.
+    quiet_injected_panics();
+    let plan = Arc::new(plan);
+    let (faulted, b_summary) = serve_once(&corpus, 1, Some(Arc::clone(&plan)))?;
+    let (faulted_mt, c_summary) = serve_once(&corpus, workers, Some(plan))?;
 
     // Invariant 1: liveness — every leg answered every line.
     for (leg, lines, summary) in [

@@ -11,10 +11,10 @@ use super::response::{
 };
 use super::ServiceCtx;
 use crate::core::{
-    analyze_cached, analyze_deadline, bode_grid, dominant_poles, explore_deadline, optimize_loop,
-    transient, EffectiveGain, ExploreSpec, LeakageSpurs, NoiseModel, NoiseShape, NoiseSpec,
-    OptimizeSpec, PllDesign, PllModel, PointQuality, QualitySummary, SampleHoldModel, SweepSpec,
-    DEADLINE_REASON, MAX_AUTO_TRUNCATION,
+    analyze_cached, analyze_deadline, bode_grid, dominant_poles, dominant_poles_deadline,
+    explore_deadline, optimize_loop, transient, CoreError, EffectiveGain, ExploreSpec,
+    LeakageSpurs, NoiseModel, NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel,
+    PointQuality, QualitySummary, SampleHoldModel, SweepSpec, DEADLINE_REASON, MAX_AUTO_TRUNCATION,
 };
 use crate::htm::{Htm, HtmRepr, Truncation};
 use crate::lti::FrequencyGrid;
@@ -147,9 +147,11 @@ fn analyze(
     let (design, model) = build_model(spec)?;
     let report =
         analyze_deadline(&model, threads, &ctx.cache, deadline).map_err(|e| e.to_string())?;
-    let strip_poles = dominant_poles(&model)
-        .ok()
-        .map(|ps| ps.iter().map(|p| (p.re, p.im)).collect());
+    let strip_poles = match dominant_poles_deadline(&model, deadline) {
+        Ok(ps) => Some(ps.iter().map(|p| (p.re, p.im)).collect()),
+        Err(e @ CoreError::DeadlineExceeded { .. }) => return Err(e.to_string()),
+        Err(_) => None,
+    };
     let sample_hold = if pfd_sh {
         let sh = SampleHoldModel::new(model.design().clone()).map_err(|e| e.to_string())?;
         Some(match sh.margins() {

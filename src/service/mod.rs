@@ -40,9 +40,10 @@ pub use server::serve_unix;
 pub use server::{serve_lines, ServeOptions, ServeSummary};
 
 use crate::core::SweepCache;
+use crate::fault::{fnv64, scope_guard, FaultPlan, Scope, ScopeGuard};
 use crate::par::{Deadline, WeakDeadline};
 use crate::requests::Request;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Shared state threaded through every request execution.
@@ -64,15 +65,19 @@ pub struct ServiceCtx {
     /// the dispatcher stops making progress; entries expire on their
     /// own once a request finishes (the strong `Arc` is dropped).
     pub inflight: Mutex<Vec<WeakDeadline>>,
+    /// The fault plan every request runs under (`None`: no injection).
+    pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl ServiceCtx {
-    /// A fresh context with an empty sweep cache and no deadline.
+    /// A fresh context with an empty sweep cache, no deadline and no
+    /// fault plan.
     pub fn new() -> Self {
         ServiceCtx {
             cache: SweepCache::new(),
             deadline_ms: None,
             inflight: Mutex::new(Vec::new()),
+            fault_plan: None,
         }
     }
 
@@ -100,6 +105,18 @@ impl ServiceCtx {
             }
         }
         deadline
+    }
+
+    /// Enters the fault scope of one request: this context's plan keyed
+    /// by a hash of the request's canonical JSON, so scope-gated rules
+    /// select the same requests at any worker count, batch shape or
+    /// arrival order. Without a plan the guard clears the scope.
+    pub fn fault_scope(&self, canonical_json: &str) -> ScopeGuard {
+        scope_guard(
+            self.fault_plan
+                .clone()
+                .map(|plan| Scope::new(plan, fnv64(canonical_json.as_bytes()))),
+        )
     }
 }
 

@@ -55,6 +55,7 @@ use std::time::{Duration, Instant};
 
 use super::response::{envelope_tail, error_envelope, Response, ServiceError};
 use super::{handlers, json, ServiceCtx};
+use crate::fault::FaultPlan;
 use crate::obs::JsonValue;
 use crate::par::{Pool, ThreadBudget};
 use crate::requests::{Request, RequestId};
@@ -83,6 +84,9 @@ pub struct ServeOptions {
     /// result) instead of holding its batch, and a watchdog thread
     /// cancels in-flight work if the dispatcher stops making progress.
     pub deadline_ms: Option<u64>,
+    /// Fault plan every request runs under (`None`: no injection) —
+    /// `HTMPLL_FAULT` at `plltool serve` startup, or a chaos replay's.
+    pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ServeOptions {
@@ -95,6 +99,7 @@ impl Default for ServeOptions {
             response_cache: 1024,
             log_every: 0,
             deadline_ms: None,
+            fault_plan: None,
         }
     }
 }
@@ -285,9 +290,17 @@ where
     R: BufRead + Send,
     W: Write,
 {
-    let ctx = Arc::new(ServiceCtx::with_deadline_ms(opts.deadline_ms));
+    let ctx = Arc::new(context(opts));
     let pool = Pool::new(ThreadBudget::from(opts.workers));
     serve_on(&ctx, &pool, input, output, opts)
+}
+
+/// The shared context of one server: its deadline and fault plan.
+fn context(opts: &ServeOptions) -> ServiceCtx {
+    ServiceCtx {
+        fault_plan: opts.fault_plan.clone(),
+        ..ServiceCtx::with_deadline_ms(opts.deadline_ms)
+    }
 }
 
 /// The serve core: one connection/stream against a shared context and
@@ -473,7 +486,11 @@ where
                         // parsing. Keyed by sequence number, so the set
                         // of corrupted lines is a pure function of the
                         // fault plan — independent of workers or timing.
-                        let parsed = if htmpll_fault::fires_global("serve.malformed", job.seq) {
+                        let parsed = if htmpll_fault::fires_global(
+                            ctx.fault_plan.as_deref(),
+                            "serve.malformed",
+                            job.seq,
+                        ) {
                             counter!("serve", "fault.malformed").inc();
                             Err(format!(
                                 "fault injection: malformed envelope for line {}",
@@ -550,13 +567,7 @@ where
                     let worker_stats = Arc::clone(&stats);
                     let results = pool.map(work, move |_, item| {
                         let (seq, id, req, t0, key) = item;
-                        // Pin the ambient fault scope to the request's
-                        // canonical spec: scope-gated fault rules then
-                        // select the same victim *requests* regardless
-                        // of worker count, batch shape, or arrival
-                        // order.
-                        let _fault_scope =
-                            htmpll_fault::scope_guard(Some(htmpll_fault::fnv64(key.as_bytes())));
+                        let _fault_scope = worker_ctx.fault_scope(key);
                         let resp =
                             catch_unwind(AssertUnwindSafe(|| handlers::handle(req, &worker_ctx)))
                                 .unwrap_or_else(|_| {
@@ -822,7 +833,7 @@ pub fn serve_unix(path: &str, opts: &ServeOptions) -> Result<(), String> {
     // Remove the socket file on every exit path (error return, panic
     // unwind), so a restarted server never finds a stale socket.
     let _cleanup = SocketCleanup(std::path::PathBuf::from(path));
-    let ctx = Arc::new(ServiceCtx::with_deadline_ms(opts.deadline_ms));
+    let ctx = Arc::new(context(opts));
     let pool = Pool::new(ThreadBudget::from(opts.workers));
     eprintln!("serve: listening on {path}");
     for conn in listener.incoming() {

@@ -1,6 +1,6 @@
-//! Chaos-harness integration tests. These live in their own test
-//! binary: [`run_chaos`] installs a process-global fault plan for its
-//! faulted legs, which must never overlap other fault-sensitive tests.
+//! Chaos-harness integration tests. Each replay carries its fault plan
+//! in its own serve context, so the tests here run concurrently (the
+//! default) without seeing each other's faults.
 //!
 //! [`run_chaos`]: htmpll::service::run_chaos
 

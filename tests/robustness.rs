@@ -6,7 +6,8 @@
 //! deterministic: fixed seeds, no wall-clock, no ambient randomness.
 
 use htmpll::core::{
-    analyze_with, PllDesign, PllModel, PointQuality, SweepCache, SweepSpec, MAX_AUTO_TRUNCATION,
+    analyze_with, dominant_poles, PllDesign, PllModel, PointQuality, SweepCache, SweepSpec,
+    MAX_AUTO_TRUNCATION,
 };
 use htmpll::htm::{Htm, Truncation};
 use htmpll::lti::Tf;
@@ -489,5 +490,109 @@ fn analysis_quality_summary_is_consistent() {
             q.worst_cond.is_finite() || q.total() == q.failed,
             "ratio {ratio}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Physical units: MHz references put open-loop poles at 1e7–1e9 rad/s.
+// ---------------------------------------------------------------------
+
+/// A charge-pump loop in physical units: crossover at `ratio·ω₀`,
+/// zero/pole spread 4, 1 nF, charge pump solved for `|A(jω_UG)| = 1`,
+/// an optional smoothing pole at `8·ω_UG` and an optional Padé-3 loop
+/// delay of a tenth of the reference period.
+fn mhz_model(f_ref: f64, ratio: f64, third_order: bool, delay: bool) -> PllModel {
+    use htmpll::core::LoopFilter;
+    use htmpll::lti::{ChargePumpFilter2, ChargePumpFilter3};
+    let w_ug = ratio * 2.0 * std::f64::consts::PI * f_ref;
+    let (divider, kvco, c_total) = (64.0, 2.0 * std::f64::consts::PI * 200e6, 1e-9);
+    let base = ChargePumpFilter2::from_pole_zero(w_ug / 4.0, 4.0 * w_ug, c_total).unwrap();
+    let filter = if third_order {
+        let c3 = 0.02 * c_total;
+        let r3 = 1.0 / (8.0 * w_ug * c3);
+        LoopFilter::ThirdOrder(
+            ChargePumpFilter3::new(base.r(), base.c1(), base.c2(), r3, c3).unwrap(),
+        )
+    } else {
+        LoopFilter::SecondOrder(base)
+    };
+    let icp = 2.0 * std::f64::consts::PI * divider * w_ug
+        / (kvco * filter.impedance().eval_jw(w_ug).abs());
+    let design = PllDesign::builder()
+        .f_ref(f_ref)
+        .icp(icp)
+        .kvco(kvco)
+        .divider(divider)
+        .filter(filter)
+        .build()
+        .unwrap();
+    let builder = PllModel::builder(design);
+    let builder = if delay {
+        builder.loop_delay(0.1 / f_ref, 3)
+    } else {
+        builder
+    };
+    builder.build().unwrap()
+}
+
+/// A second-order loop with a Padé-3 loop delay at a 38.6 MHz
+/// reference: open-loop denominator coefficients from ~1e-9 to ~1e-44.
+/// Unbalanced root finding put its poles near 1e21 rad/s (some in the
+/// right half plane) and λ(jω_UG) came out ~2e-15 instead of ~1.
+#[test]
+fn mhz_unit_loop_with_pade_delay_has_correct_lambda() {
+    let model = mhz_model(38.6e6, 0.1, false, true);
+    let lam = model.lambda();
+    assert_eq!(model.open_loop().den().degree(), 6);
+    for t in &lam.pfe().terms {
+        assert!(
+            t.pole.re <= 0.0 && t.pole.abs() < 1e11,
+            "open-loop pole {} off the physical scale",
+            t.pole
+        );
+    }
+    let w_ug = 0.1 * model.design().omega_ref();
+    let s = c(0.0, w_ug);
+    let exact = lam.eval(s);
+    let truncated = lam.eval_truncated(s, 20_000);
+    assert!(
+        (exact - truncated).abs() < 1e-3 * truncated.abs(),
+        "exact λ {exact} vs truncated {truncated}"
+    );
+    assert!((truncated.abs() - 1.0).abs() < 0.05, "{truncated}");
+    let r = analyze_with(&model, ThreadBudget::Fixed(1)).unwrap();
+    assert!(!r.beyond_sampling_limit && r.nyquist_stable, "{r:?}");
+    assert!((lam.eval_jw(r.omega_ug_eff).abs() - 1.0).abs() < 1e-9);
+}
+
+/// `dominant_poles` in physical units: its strip grid spans
+/// Re s ∈ [−3, 1]·ω_UG, so it brackets poles at any crossover. An
+/// absolute [−3, 1] rad/s span hugs the jω axis of a Mrad/s loop and
+/// misses the alias-born subharmonic pole at Im s = ω₀/2 that fast
+/// loops carry (the physical-units twin of the normalized
+/// `subharmonic_pole_marches_to_instability`).
+#[test]
+fn dominant_poles_found_in_physical_units() {
+    for (f_ref, ratio, third, delay) in [
+        (15.47e6, 0.022, true, false),
+        (38.6e6, 0.1, false, true),
+        (50e6, 0.22, false, false),
+        (50e6, 0.25, false, false),
+        (50e6, 0.27, false, false),
+    ] {
+        let model = mhz_model(f_ref, ratio, third, delay);
+        let w0 = model.design().omega_ref();
+        let poles = dominant_poles(&model).unwrap();
+        assert!(!poles.is_empty(), "no pole at {f_ref} Hz, ratio {ratio}");
+        for p in &poles {
+            let residual = (Complex::ONE + model.lambda().eval(*p)).abs();
+            assert!(residual < 1e-6, "residual {residual} at {p}");
+        }
+        if ratio > 0.2 {
+            assert!(
+                poles.iter().any(|p| (p.im - 0.5 * w0).abs() < 1e-6 * w0),
+                "ratio {ratio}: no subharmonic pole in {poles:?}"
+            );
+        }
     }
 }

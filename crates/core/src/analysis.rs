@@ -33,7 +33,6 @@ use htmpll_num::Complex;
 use htmpll_par::{par_map_cancellable, Deadline, ThreadBudget};
 
 /// Analysis products for one PLL model.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisReport {
     /// Ratio `ω_UG/ω₀` of LTI crossover to reference frequency — the

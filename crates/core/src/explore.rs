@@ -109,7 +109,6 @@ const ICP_SCALE_RANGE: (f64, f64) = (0.25, 4.0);
 const DIVIDER_RANGE: (f64, f64) = (8.0, 512.0);
 
 /// One point in the four-axis candidate space.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignParams {
     /// Target crossover as a fraction of the reference: `ω_UG/ω₀`.
@@ -139,7 +138,6 @@ impl DesignParams {
 }
 
 /// A feasible design together with its five Pareto objectives.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Where in the candidate space this design lives.

@@ -26,11 +26,13 @@
 //! assert!(best.report.phase_margin_eff_deg >= 45.0);
 //! ```
 
-use crate::analysis::{analyze, AnalysisReport};
+use crate::analysis::{analyze_deadline, AnalysisReport};
 use crate::closed_loop::PllModel;
 use crate::design::PllDesign;
 use crate::error::CoreError;
 use crate::noise::{NoiseModel, NoiseShape};
+use crate::sweep::SweepCache;
+use htmpll_par::{Deadline, ThreadBudget};
 
 /// Search space and constraints for [`optimize_loop`].
 #[derive(Debug, Clone)]
@@ -84,6 +86,21 @@ pub struct Candidate {
 /// [`CoreError::InvalidParameter`] (`"feasible set"`) when no candidate
 /// meets the margin constraint.
 pub fn optimize_loop(spec: &OptimizeSpec, noise: &NoiseSpec) -> Result<Candidate, CoreError> {
+    optimize_loop_deadline(spec, noise, &Deadline::none())
+}
+
+/// [`optimize_loop`] under a cooperative [`Deadline`], which every
+/// candidate's analysis checks before each scan.
+///
+/// # Errors
+///
+/// As [`optimize_loop`], plus [`CoreError::DeadlineExceeded`] when the
+/// budget expires before the grid is exhausted.
+pub fn optimize_loop_deadline(
+    spec: &OptimizeSpec,
+    noise: &NoiseSpec,
+    deadline: &Deadline,
+) -> Result<Candidate, CoreError> {
     let (lo, hi, n) = spec.ratios;
     let mut best: Option<Candidate> = None;
     for i in 0..n.max(1) {
@@ -91,7 +108,8 @@ pub fn optimize_loop(spec: &OptimizeSpec, noise: &NoiseSpec) -> Result<Candidate
         for &spread in &spec.spreads {
             let design = PllDesign::reference_design_shaped(ratio, spread)?;
             let model = PllModel::builder(design.clone()).build()?;
-            let report = analyze(&model)?;
+            let report =
+                analyze_deadline(&model, ThreadBudget::Auto, &SweepCache::new(), deadline)?;
             if report.beyond_sampling_limit
                 || !report.nyquist_stable
                 || report.phase_margin_eff_deg < spec.min_pm_eff_deg
@@ -179,6 +197,21 @@ mod tests {
         );
         // And the stricter design trades noise for margin.
         assert!(b.integrated_noise >= a.integrated_noise);
+    }
+
+    #[test]
+    fn deadline_surfaces_as_retryable_error() {
+        let spec = OptimizeSpec {
+            min_pm_eff_deg: 45.0,
+            ratios: (0.03, 0.25, 4),
+            spreads: vec![4.0],
+        };
+        let err =
+            optimize_loop_deadline(&spec, &noise_env(), &Deadline::after_checks(10)).unwrap_err();
+        assert!(
+            err.to_string().starts_with(crate::quality::DEADLINE_REASON),
+            "{err}"
+        );
     }
 
     #[test]

@@ -937,7 +937,6 @@ impl NoiseModel<'_> {
 
 /// One predicted reference-spur line, as produced by
 /// [`LeakageSpurs::scan`].
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpurLine {
     /// Reference-harmonic index of the line (at `k·ω₀`).

@@ -51,11 +51,20 @@
 //! the rule only inside the deterministic fraction `F` of scopes —
 //! [`FaultPlan::scope_selected`] exposes the same selection so a chaos
 //! harness can compute the expected faulted set up front.
+//!
+//! ## Hashing
+//!
+//! Scope and site keys are FNV-1a digests, so the workspace's one
+//! content hash, [`Fnv1a`] and its one-shot form [`fnv64`], lives here,
+//! in the lowest crate that hashes; `htmpll_num::hash` re-exports it.
 
 #![warn(missing_docs)]
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+
+mod hash;
+pub use hash::{fnv64, Fnv1a};
 
 /// Environment variable holding the fault plan spec.
 pub const ENV: &str = "HTMPLL_FAULT";
@@ -256,18 +265,6 @@ fn mix(a: u64, b: u64) -> u64 {
 /// Maps a hash to [0, 1) with 53 uniform mantissa bits.
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// FNV-1a over bytes — the canonical way to derive scopes and keys
-/// from strings (request canonical JSON, matrix content) so every
-/// layer hashes identically.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The plan named by `HTMPLL_FAULT`, if set and non-empty. Callers
@@ -565,11 +562,5 @@ mod tests {
     fn empty_and_env_style_specs() {
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse(" ; ; ").unwrap().is_empty());
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -26,8 +26,9 @@
 //!   noise integrals.
 //! * [`rng`] — vendored deterministic PRNG (SplitMix64 + xoshiro256++)
 //!   for the behavioral simulator's jitter and noise draws.
-//! * [`hash`] — deterministic FNV-1a content hashing for fingerprinting
-//!   machine-readable reports (thread-count-invariance checks).
+//! * [`hash`] — deterministic FNV-1a content hashing (re-exported from
+//!   `htmpll-fault`) for fingerprinting machine-readable reports
+//!   (thread-count-invariance checks).
 //!
 //! Everything is implemented on `std` alone; no external numerics crates.
 //!

@@ -20,9 +20,16 @@ pub struct Rng {
     s: [u64; 4],
 }
 
-/// One step of the SplitMix64 stream, used to expand a 64-bit seed into
-/// the 256-bit xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of the SplitMix64 stream: advances `state` and returns the
+/// next output. Expands a 64-bit seed into the 256-bit xoshiro state,
+/// and serves callers that need a bare seeded stream.
+///
+/// ```
+/// use htmpll_num::rng::splitmix64;
+/// let mut s = 0u64;
+/// assert_eq!(splitmix64(&mut s), 0xe220a8397b1dcdaf);
+/// ```
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

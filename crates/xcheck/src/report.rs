@@ -56,8 +56,8 @@ pub struct ScenarioReport {
 
 /// Per-stack wall-clock totals in milliseconds. **Excluded from the
 /// digest and the JSON report** — timing is machine-dependent and must
-/// not break bitwise determinism; it is exported separately as a bench
-/// artifact.
+/// not break bitwise determinism; timing harnesses read it off the
+/// report directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackTimings {
     /// λ evaluations (exact + truncated).
@@ -70,33 +70,6 @@ pub struct StackTimings {
     pub sim_ms: f64,
     /// Spectral estimation on simulated records.
     pub spectral_ms: f64,
-}
-
-impl StackTimings {
-    /// Total wall-clock across stacks.
-    pub fn total_ms(&self) -> f64 {
-        self.lambda_ms + self.htm_ms + self.zdomain_ms + self.sim_ms + self.spectral_ms
-    }
-
-    /// Bench-artifact JSON (`BENCH_xcheck_corpus.json` payload).
-    pub fn to_bench_json(&self, corpus: &str, scenarios: usize, checks: usize) -> String {
-        format!(
-            concat!(
-                "{{\"corpus\":\"{}\",\"scenarios\":{},\"checks\":{},",
-                "\"wall_ms\":{{\"lambda\":{:.3},\"htm\":{:.3},\"zdomain\":{:.3},",
-                "\"sim\":{:.3},\"spectral\":{:.3}}},\"total_ms\":{:.3}}}"
-            ),
-            corpus,
-            scenarios,
-            checks,
-            self.lambda_ms,
-            self.htm_ms,
-            self.zdomain_ms,
-            self.sim_ms,
-            self.spectral_ms,
-            self.total_ms()
-        )
-    }
 }
 
 /// The full corpus run.
@@ -309,20 +282,5 @@ mod tests {
         assert_eq!(a.tolerated(), 1);
         assert_eq!(a.mismatches(), 0);
         assert_eq!(a.total_checks(), 2);
-    }
-
-    #[test]
-    fn bench_json_has_stack_breakdown() {
-        let t = StackTimings {
-            lambda_ms: 1.0,
-            htm_ms: 2.0,
-            zdomain_ms: 3.0,
-            sim_ms: 4.0,
-            spectral_ms: 5.0,
-        };
-        let j = t.to_bench_json("quick", 4, 20);
-        assert!(j.contains("\"corpus\":\"quick\""));
-        assert!(j.contains("\"lambda\":1.000"));
-        assert!(j.contains("\"total_ms\":15.000"));
     }
 }

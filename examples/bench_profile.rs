@@ -1,5 +1,5 @@
-//! Tracing-overhead benchmark, used by `scripts/bench_profile.sh` to
-//! produce `BENCH_profile_overhead.json`.
+//! Tracing-overhead benchmark behind the "tracing overhead guard" leg
+//! of `scripts/ci.sh`, which fails when `overhead_pct` reaches 10 %.
 //!
 //! Measures the same structured-kernel closed-loop sweep (K = 24, 96-pt
 //! grid by default) in four configurations:

@@ -1,4 +1,14 @@
-//! Figure-regeneration drivers (paper: Vanassche/Gielen/Sansen, DATE'03).
+//! Figure-regeneration harness: prints the data series behind every
+//! reproduced figure of the DATE-2003 paper (Vanassche/Gielen/Sansen),
+//! plus the extension studies built on the same models.
+//!
+//! ```text
+//! cargo run --release --example figures -- all
+//! cargo run --release --example figures -- fig6
+//! ```
+//!
+//! `scripts/ci.sh` diffs the `all` output against `figures_output.txt`
+//! (all but the wall-clock speedup line of the `timing` section).
 //!
 //! | driver | paper artifact |
 //! |---|---|
@@ -8,13 +18,267 @@
 //! | [`fig2_band_transfers`] | Fig. 2 — signal transfer between frequency bands |
 //! | [`fig4_pulse_width_error`] | Fig. 4 — pulse-train vs impulse-train PFD model |
 //! | [`timing_comparison`] | §5 — "seconds vs minutes" HTM vs time-marching |
+//!
+//! Each driver returns plain data (rows) so `main` can print it and the
+//! tests below can assert on its shape.
 
-use htmpll_core::{analyze, PllDesign, PllModel};
-use htmpll_lti::{bode_tf, stability_margins};
-use htmpll_num::optim::{lin_grid, log_grid};
-use htmpll_num::Complex;
-use htmpll_sim::{measure_h00, measure_h00_multitone, MeasureOptions, SimConfig, SimParams};
+use htmpll::core::{analyze, PllDesign, PllModel};
+use htmpll::lti::{bode_tf, stability_margins};
+use htmpll::num::optim::{lin_grid, log_grid};
+use htmpll::num::Complex;
+use htmpll::sim::{measure_h00, measure_h00_multitone, MeasureOptions, SimConfig, SimParams};
 use std::time::Instant;
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let which = args.first().map(String::as_str).unwrap_or("all");
+    match which {
+        "fig2" => fig2(),
+        "fig4" => fig4(),
+        "fig5" => fig5(),
+        "fig6" => fig6(),
+        "fig7" => fig7(),
+        "timing" => timing(),
+        "shape" => shape(),
+        "pfd" => pfd(),
+        "spur" => spur(),
+        "poles" => poles(),
+        "lock" => lock(),
+        "trunc" => trunc(),
+        "all" => {
+            fig5();
+            fig2();
+            fig4();
+            fig6();
+            fig7();
+            timing();
+            shape();
+            pfd();
+            spur();
+            poles();
+            lock();
+            trunc();
+        }
+        other => {
+            eprintln!(
+                "unknown experiment `{other}`; use fig2|fig4|fig5|fig6|fig7|timing|shape|pfd|spur|poles|lock|trunc|all"
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
+fn header(title: &str) {
+    println!("\n================================================================");
+    println!("{title}");
+    println!("================================================================");
+}
+
+fn fig5() {
+    header("FIG 5 — open-loop gain A(jω) of the reference loop (3 poles, 2 at DC, 1 zero)");
+    let (wug, pm) = reference_lti_margins();
+    println!("# LTI: ω_UG = {wug:.4} rad/s, phase margin = {pm:.2}°");
+    println!("{:>12} {:>12} {:>12}", "w/w_UG", "mag_dB", "phase_deg");
+    for row in fig5_open_loop_bode(41) {
+        println!(
+            "{:12.4} {:12.3} {:12.2}",
+            row.w_over_wug, row.mag_db, row.phase_deg
+        );
+    }
+}
+
+fn fig2() {
+    header("FIG 2 — signal transfer between frequency bands: |H_{n,m}(jω)| map");
+    let map = fig2_band_transfers(0.2, 0.3, 2);
+    println!("# closed loop at ω = {:.2} rad/s, ω_UG/ω₀ = 0.2", map.omega);
+    println!("# rows: output band n; columns: input band m");
+    print!("{:>8}", "n\\m");
+    for m in &map.bands {
+        print!("{m:>10}");
+    }
+    println!();
+    for (n, row) in map.bands.iter().zip(&map.magnitudes) {
+        print!("{n:>8}");
+        for v in row {
+            print!("{v:>10.4}");
+        }
+        println!();
+    }
+    println!("# all columns equal: the sampling PFD aliases every input band identically (rank-one loop)");
+}
+
+fn fig4() {
+    header("FIG 4 — pulse-train vs impulse-train PFD: model error vs pulse width");
+    println!("# reference loop at ω_UG/ω₀ = 0.2, probed at ω = 2 rad/s (band edge region)");
+    println!("{:>18} {:>14}", "pulse_width/T", "rel_error");
+    let amps = [2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2];
+    for row in fig4_pulse_width_error(0.2, 2.0, &amps) {
+        println!("{:18.5} {:14.5}", row.pulse_width_frac, row.rel_error);
+    }
+    println!("# error ∝ width: narrow pulses act as impulses (paper Fig. 4 equivalence)");
+}
+
+fn fig6() {
+    header("FIG 6 — closed-loop |H00(jω)| (dB): HTM (eq. 38) vs LTI vs time simulation");
+    for curve in fig6_closed_loop(&[0.1, 0.2, 0.25], 25, 14) {
+        println!("\n## ω_UG/ω₀ = {}", curve.ratio);
+        println!(
+            "{:>10} {:>10} {:>10} {:>10} {:>12}",
+            "w/w_UG", "HTM_dB", "LTI_dB", "sim_dB", "sim_vs_htm"
+        );
+        let mut worst: f64 = 0.0;
+        for p in &curve.points {
+            let sim = p
+                .sim_db
+                .map(|v| format!("{v:10.3}"))
+                .unwrap_or_else(|| format!("{:>10}", "-"));
+            let err = p
+                .sim_vs_htm_err
+                .map(|v| {
+                    worst = worst.max(v);
+                    format!("{:11.2}%", 100.0 * v)
+                })
+                .unwrap_or_else(|| format!("{:>12}", "-"));
+            println!(
+                "{:10.4} {:10.3} {:10.3} {sim} {err}",
+                p.w_over_wug, p.htm_db, p.lti_db
+            );
+        }
+        println!(
+            "# worst sim-vs-HTM deviation on this curve: {:.2} %",
+            100.0 * worst
+        );
+    }
+}
+
+fn fig7() {
+    header("FIG 7 — effective unity-gain frequency and phase margin vs ω_UG/ω₀");
+    println!(
+        "{:>8} {:>16} {:>12} {:>12} {:>8}",
+        "ratio", "wUG_eff/wUG", "PM_eff_deg", "PM_LTI_deg", "limit?"
+    );
+    for row in fig7_margin_sweep(0.02, 0.34, 17) {
+        println!(
+            "{:8.3} {:16.4} {:12.2} {:12.2} {:>8}",
+            row.ratio,
+            row.wug_eff_over_wug,
+            row.pm_eff_deg,
+            row.pm_lti_deg,
+            if row.beyond_limit { "YES" } else { "" }
+        );
+    }
+    println!("# PM_LTI is the horizontal line of the paper's Fig. 7 (lower plot)");
+}
+
+fn shape() {
+    header("EXT: LOOP SHAPE — sampling stability limit vs designed LTI phase margin");
+    println!(
+        "{:>8} {:>12} {:>16}",
+        "spread", "PM_LTI_deg", "(wUG/w0)_max"
+    );
+    for row in shape_ablation(&[2.0, 3.0, 4.0, 6.0, 8.0]) {
+        println!(
+            "{:8.1} {:12.2} {:16.4}",
+            row.spread, row.pm_lti_deg, row.limit_ratio
+        );
+    }
+    println!("# measured finding: the limit is remarkably INSENSITIVE to the designed");
+    println!("# LTI margin (0.27–0.29 across 37°–76°) — it is set by the aliased gain");
+    println!("# magnitude, not the phase shape: a constraint continuous-time analysis");
+    println!("# cannot even express");
+}
+
+fn pfd() {
+    header("EXT: ARBITRARY PFDs — impulse charge pump vs sample-and-hold detector");
+    println!(
+        "{:>8} {:>16} {:>18}",
+        "ratio", "PM_impulse_deg", "PM_sample_hold_deg"
+    );
+    for row in pfd_comparison(&[0.02, 0.05, 0.1, 0.15, 0.2]) {
+        println!(
+            "{:8.2} {:16.2} {:18.2}",
+            row.ratio, row.pm_impulse_deg, row.pm_sample_hold_deg
+        );
+    }
+    println!("# the hold's −ωT/2 delay costs extra margin on top of aliasing");
+}
+
+fn spur() {
+    header("EXT: CHARGE-PUMP LEAKAGE — static offset and reference spur (simulated)");
+    println!(
+        "{:>14} {:>14} {:>14} {:>12} {:>12} {:>10}",
+        "I_leak/I_cp", "offset/T", "predicted", "spur_rel_dB", "analytic_dB", "sim/pred"
+    );
+    for row in leakage_spur_study(0.1, &[1e-4, 3e-4, 1e-3, 3e-3]) {
+        println!(
+            "{:14.1e} {:14.2e} {:14.2e} {:12.2} {:12.2} {:10.3}",
+            row.leakage_frac,
+            row.static_offset_frac,
+            row.predicted_offset_frac,
+            row.spur_rel_db,
+            row.spur_rel_db_predicted,
+            row.sim_over_predicted
+        );
+    }
+    println!("# spur power rises 20 dB/decade; the closed form θ̃₁ = −A(jω₀)·θ_static");
+    println!("# predicts the absolute line power to ~1 % (sim/pred column)");
+}
+
+fn poles() {
+    header("EXT: CLOSED-LOOP POLES — the subharmonic mode's march to instability");
+    println!("# strip poles of 1 + λ(s) = 0 (Newton, exact dλ/ds); Im normalized to ω₀/2");
+    println!("{:>8}   poles (Re, Im/(ω₀/2))", "ratio");
+    for row in pole_locus(&[0.1, 0.15, 0.18, 0.2, 0.22, 0.25, 0.27, 0.29]) {
+        print!("{:8.2}  ", row.ratio);
+        for (re, imn) in &row.poles {
+            print!(" ({re:+.4}, {imn:.3})");
+        }
+        println!();
+    }
+    println!("# around ratio ≈ 0.19 two real poles collide and lock onto Im = ω₀/2:");
+    println!("# the loop rings at HALF THE REFERENCE RATE; that subharmonic pole");
+    println!("# crosses into the RHP at the stability limit ≈ 0.276 — Gardner's");
+    println!("# granularity instability, recovered from the continuous-time HTM model");
+}
+
+fn lock() {
+    header("EXT: LOCK ACQUISITION — pull-in vs initial VCO detuning (simulated)");
+    println!("{:>12} {:>8} {:>14}", "detune", "locked", "lock_periods");
+    for row in lock_study(0.1, &[1e-3, 5e-3, 1e-2, 3e-2, 1e-1]) {
+        println!(
+            "{:12.0e} {:>8} {:>14.1}",
+            row.detune_frac, row.locked, row.lock_periods
+        );
+    }
+    println!("# the tri-state PFD's frequency detection pulls the loop in even from");
+    println!("# detunings far beyond the small-signal capture range");
+}
+
+fn trunc() {
+    header("EXT: TRUNCATION — convergence of the truncated HTM machinery");
+    println!("# reference loop at ω_UG/ω₀ = 0.2, probed at ω = 0.8 rad/s");
+    println!("{:>6} {:>14} {:>14}", "K", "lambda_err", "htm_err");
+    for row in truncation_study(0.2, 0.8, &[2, 4, 8, 16, 32, 64, 128]) {
+        println!(
+            "{:>6} {:14.3e} {:14.3e}",
+            row.k, row.lambda_err, row.htm_err
+        );
+    }
+    println!("# both errors fall like 1/K (the simple-pole alias tail); the exact");
+    println!("# coth lattice sums sidestep the truncation entirely");
+}
+
+fn timing() {
+    header("TIMING — §5 claim: HTM evaluation vs time-marching simulation");
+    let r = timing_comparison(0.1, 12);
+    println!(
+        "{} frequency points: HTM {:.4} s, simulation {:.2} s  → speedup {:.0}×",
+        r.points,
+        r.htm_seconds,
+        r.sim_seconds,
+        r.speedup()
+    );
+}
 
 /// One row of the Fig.-5 Bode table.
 #[derive(Debug, Clone, Copy)]
@@ -118,9 +382,8 @@ pub fn fig6_closed_loop(ratios: &[f64], points: usize, sim_marks: usize) -> Vec<
             // All in-band marks come from ONE multitone run; out-of-band
             // marks (ω > ω₀/2 would alias multitone images) run
             // individually.
-            let (in_band, out_band): (Vec<f64>, Vec<f64>) = mark_grid
-                .into_iter()
-                .partition(|&w| w < 0.44 * w0);
+            let (in_band, out_band): (Vec<f64>, Vec<f64>) =
+                mark_grid.into_iter().partition(|&w| w < 0.44 * w0);
             let mut measured = if in_band.is_empty() {
                 Vec::new()
             } else {
@@ -168,8 +431,9 @@ pub fn fig7_margin_sweep(lo: f64, hi: f64, points: usize) -> Vec<Fig7Row> {
     lin_grid(lo, hi, points)
         .into_iter()
         .map(|ratio| {
-            let model =
-                PllModel::builder(PllDesign::reference_design(ratio).expect("design")).build().expect("model");
+            let model = PllModel::builder(PllDesign::reference_design(ratio).expect("design"))
+                .build()
+                .expect("model");
             let r = analyze(&model).expect("analysis");
             Fig7Row {
                 ratio,
@@ -196,8 +460,10 @@ pub struct Fig2Map {
 /// Fig. 2: how signal content moves between frequency bands, shown as
 /// the magnitude map of the closed-loop HTM at one in-band frequency.
 pub fn fig2_band_transfers(ratio: f64, omega: f64, k: usize) -> Fig2Map {
-    let model = PllModel::builder(PllDesign::reference_design(ratio).expect("design")).build().expect("model");
-    let trunc = htmpll_htm::Truncation::new(k);
+    let model = PllModel::builder(PllDesign::reference_design(ratio).expect("design"))
+        .build()
+        .expect("model");
+    let trunc = htmpll::htm::Truncation::new(k);
     let htm = model.closed_loop_htm(Complex::from_im(omega), trunc);
     let bands: Vec<i64> = trunc.harmonics().collect();
     let magnitudes = bands
@@ -304,6 +570,259 @@ pub fn reference_lti_margins() -> (f64, f64) {
     (m.omega_ug, m.phase_margin_deg)
 }
 
+/// One row of the loop-shape ablation.
+#[derive(Debug, Clone, Copy)]
+pub struct ShapeRow {
+    /// Zero/pole spread factor (zero at `ω_UG/spread`, pole at
+    /// `spread·ω_UG`).
+    pub spread: f64,
+    /// LTI phase margin of the shape (degrees).
+    pub pm_lti_deg: f64,
+    /// Sampling stability limit `(ω_UG/ω₀)_max` from the HTM
+    /// period-strip test.
+    pub limit_ratio: f64,
+}
+
+/// Loop-shape ablation: how much LTI phase margin must a design carry
+/// to survive a given loop speed? Sweeps the zero/pole spread of the
+/// reference family and bisects each shape's sampling stability limit.
+pub fn shape_ablation(spreads: &[f64]) -> Vec<ShapeRow> {
+    use htmpll::htm::nyquist::strip_zero_count;
+    spreads
+        .iter()
+        .map(|&spread| {
+            let pm = spread.atan().to_degrees() - (1.0 / spread).atan().to_degrees();
+            let stable_at = |ratio: f64| {
+                let d = PllDesign::reference_design_shaped(ratio, spread).expect("design");
+                let m = PllModel::builder(d.clone()).build().expect("model");
+                strip_zero_count(|s| m.lambda().eval(s), d.omega_ref(), 1e-4, 4096) == 0
+            };
+            let (mut lo, mut hi) = (0.01, 0.6);
+            assert!(stable_at(lo), "spread {spread}: low bracket unstable");
+            if stable_at(hi) {
+                // Extremely robust shape: report the bracket edge.
+                return ShapeRow {
+                    spread,
+                    pm_lti_deg: pm,
+                    limit_ratio: hi,
+                };
+            }
+            while hi - lo > 1e-3 {
+                let mid = 0.5 * (lo + hi);
+                if stable_at(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            ShapeRow {
+                spread,
+                pm_lti_deg: pm,
+                limit_ratio: 0.5 * (lo + hi),
+            }
+        })
+        .collect()
+}
+
+/// One row of the PFD-architecture comparison.
+#[derive(Debug, Clone, Copy)]
+pub struct PfdRow {
+    /// Loop-speed ratio `ω_UG/ω₀`.
+    pub ratio: f64,
+    /// Effective phase margin with the impulse-sampling charge pump.
+    pub pm_impulse_deg: f64,
+    /// Effective phase margin with the sample-and-hold PFD.
+    pub pm_sample_hold_deg: f64,
+}
+
+/// "Extension to arbitrary PFDs": impulse-sampling charge pump vs
+/// sample-and-hold detector — the hold's half-period delay costs margin
+/// on top of the aliasing.
+pub fn pfd_comparison(ratios: &[f64]) -> Vec<PfdRow> {
+    use htmpll::core::SampleHoldModel;
+    ratios
+        .iter()
+        .map(|&ratio| {
+            let design = PllDesign::reference_design(ratio).expect("design");
+            let imp = analyze(&PllModel::builder(design.clone()).build().expect("model"))
+                .expect("analysis");
+            let sh = SampleHoldModel::new(design).expect("s&h model");
+            let pm_sh = sh.margins().map(|m| m.phase_margin_deg).unwrap_or(0.0);
+            PfdRow {
+                ratio,
+                pm_impulse_deg: imp.phase_margin_eff_deg,
+                pm_sample_hold_deg: pm_sh,
+            }
+        })
+        .collect()
+}
+
+/// One row of the leakage-spur study.
+#[derive(Debug, Clone, Copy)]
+pub struct SpurRow {
+    /// Leakage current as a fraction of `I_cp`.
+    pub leakage_frac: f64,
+    /// Static phase offset measured in simulation, in fractions of `T`.
+    pub static_offset_frac: f64,
+    /// First-order prediction `I_leak/I_cp`.
+    pub predicted_offset_frac: f64,
+    /// Reference-spur level from the simulated phase PSD, dB relative
+    /// to the spur at the smallest leakage in the sweep.
+    pub spur_rel_db: f64,
+    /// Analytic spur line power from `core::spurs`
+    /// (`θ̃₁ = −A(jω₀)·θ_static`), same relative dB scale.
+    pub spur_rel_db_predicted: f64,
+    /// Absolute ratio simulated/predicted line power.
+    pub sim_over_predicted: f64,
+}
+
+/// Charge-pump leakage study: static phase offset (vs the first-order
+/// prediction `θ/T = I_leak/I_cp`) and the reference spur it creates,
+/// which scales 20 dB/decade with leakage.
+pub fn leakage_spur_study(ratio: f64, leakage_fracs: &[f64]) -> Vec<SpurRow> {
+    use htmpll::core::LeakageSpurs;
+    use htmpll::sim::PllSim;
+    use htmpll::spectral::{band_power, periodogram, Window};
+    let design = PllDesign::reference_design(ratio).expect("design");
+    let model = PllModel::builder(design.clone()).build().expect("model");
+    let mut spur_abs = Vec::new();
+    let mut pred_abs = Vec::new();
+    let mut rows = Vec::new();
+    for &frac in leakage_fracs {
+        let mut params = SimParams::from_design(&design);
+        params.leakage = frac * params.i_cp;
+        let t_ref = params.t_ref;
+        let mut sim = PllSim::new(params.clone(), SimConfig::default());
+        let _ = sim.run(500.0 * t_ref, &|_| 0.0);
+        let trace = sim.run(1024.0 * t_ref, &|_| 0.0);
+        let mean = trace.theta_vco.iter().sum::<f64>() / trace.theta_vco.len() as f64;
+        let centered: Vec<f64> = trace.theta_vco.iter().map(|v| v - mean).collect();
+        let psd = periodogram(&centered, 1.0 / trace.dt, Window::Hann).expect("psd");
+        let f_ref = 1.0 / t_ref;
+        let spur = band_power(&psd, 0.97 * f_ref, 1.03 * f_ref);
+        let predicted = LeakageSpurs::new(&model, params.leakage).line_power(1);
+        spur_abs.push(spur);
+        pred_abs.push(predicted);
+        rows.push(SpurRow {
+            leakage_frac: frac,
+            static_offset_frac: mean / t_ref,
+            predicted_offset_frac: frac,
+            spur_rel_db: 0.0,
+            spur_rel_db_predicted: 0.0,
+            sim_over_predicted: spur / predicted,
+        });
+    }
+    let base = spur_abs[0];
+    let pbase = pred_abs[0];
+    for ((row, s), p) in rows.iter_mut().zip(&spur_abs).zip(&pred_abs) {
+        row.spur_rel_db = 10.0 * (s / base).log10();
+        row.spur_rel_db_predicted = 10.0 * (p / pbase).log10();
+    }
+    rows
+}
+
+/// One row of the closed-loop pole locus.
+#[derive(Debug, Clone)]
+pub struct PoleRow {
+    /// Loop-speed ratio `ω_UG/ω₀`.
+    pub ratio: f64,
+    /// Strip poles `(Re, Im/(ω₀/2))`, least damped first.
+    pub poles: Vec<(f64, f64)>,
+}
+
+/// Closed-loop pole locus of the time-varying loop vs `ω_UG/ω₀`:
+/// Newton on `1 + λ(s) = 0` with exact derivatives. Shows the
+/// subharmonic (Im = ω₀/2) pole pair being born from colliding real
+/// poles and marching into the right half plane at the stability limit.
+pub fn pole_locus(ratios: &[f64]) -> Vec<PoleRow> {
+    use htmpll::core::dominant_poles;
+    ratios
+        .iter()
+        .map(|&ratio| {
+            let model = PllModel::builder(PllDesign::reference_design(ratio).expect("design"))
+                .build()
+                .expect("model");
+            let w0 = model.design().omega_ref();
+            let poles = dominant_poles(&model)
+                .expect("poles")
+                .into_iter()
+                .map(|p| (p.re, p.im / (0.5 * w0)))
+                .collect();
+            PoleRow { ratio, poles }
+        })
+        .collect()
+}
+
+/// One row of the lock-acquisition study.
+#[derive(Debug, Clone, Copy)]
+pub struct LockRow {
+    /// Fractional VCO detuning at t = 0.
+    pub detune_frac: f64,
+    /// Whether lock was declared within the horizon.
+    pub locked: bool,
+    /// Lock time in reference periods (NaN when not locked).
+    pub lock_periods: f64,
+}
+
+/// Lock acquisition vs initial frequency detuning — the large-signal
+/// behavior (PFD frequency detection) the small-signal HTM analysis
+/// deliberately leaves out, covered by the behavioral simulator.
+pub fn lock_study(ratio: f64, detunings: &[f64]) -> Vec<LockRow> {
+    use htmpll::sim::{acquire_lock, LockOptions};
+    let design = PllDesign::reference_design(ratio).expect("design");
+    let params = SimParams::from_design(&design);
+    let cfg = SimConfig::default();
+    let opts = LockOptions::default();
+    detunings
+        .iter()
+        .map(|&detune| {
+            let r = acquire_lock(&params, &cfg, detune, &opts);
+            LockRow {
+                detune_frac: detune,
+                locked: r.locked,
+                lock_periods: r.lock_time * design.f_ref(),
+            }
+        })
+        .collect()
+}
+
+/// One row of the truncation-convergence study.
+#[derive(Debug, Clone, Copy)]
+pub struct TruncRow {
+    /// Truncation order `K` (matrix dimension `2K+1`).
+    pub k: usize,
+    /// Relative error of the truncated λ against the exact lattice sum.
+    pub lambda_err: f64,
+    /// Max-element relative error of the truncated closed-loop HTM
+    /// against the exact-λ rank-one form.
+    pub htm_err: f64,
+}
+
+/// Truncation ablation: how fast the truncated harmonic machinery
+/// converges to the exact (lattice-sum) results — the data behind the
+/// `Truncation::default()` choice.
+pub fn truncation_study(ratio: f64, omega: f64, ks: &[usize]) -> Vec<TruncRow> {
+    use htmpll::htm::Truncation;
+    let model = PllModel::builder(PllDesign::reference_design(ratio).expect("design"))
+        .build()
+        .expect("model");
+    let s = Complex::from_im(omega);
+    let lam_exact = model.lambda().eval(s);
+    let h_exact = model.h00(omega);
+    ks.iter()
+        .map(|&k| {
+            let t = Truncation::new(k);
+            let lam_k: Complex = model.v_column(s, t).iter().copied().sum();
+            let htm = model.closed_loop_htm(s, t);
+            TruncRow {
+                k,
+                lambda_err: (lam_k - lam_exact).abs() / lam_exact.abs(),
+                htm_err: (htm.band(0, 0) - h_exact).abs() / h_exact.abs(),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,256 +876,4 @@ mod tests {
         assert_eq!(curves[0].points.len(), 11);
         assert!(curves[0].points.iter().all(|p| p.sim_db.is_none()));
     }
-}
-
-/// One row of the loop-shape ablation.
-#[derive(Debug, Clone, Copy)]
-pub struct ShapeRow {
-    /// Zero/pole spread factor (zero at `ω_UG/spread`, pole at
-    /// `spread·ω_UG`).
-    pub spread: f64,
-    /// LTI phase margin of the shape (degrees).
-    pub pm_lti_deg: f64,
-    /// Sampling stability limit `(ω_UG/ω₀)_max` from the HTM
-    /// period-strip criterion.
-    pub limit_ratio: f64,
-}
-
-/// Loop-shape ablation: how much LTI phase margin must a design carry
-/// to survive a given loop speed? Sweeps the zero/pole spread of the
-/// reference family and bisects each shape's sampling stability limit.
-pub fn shape_ablation(spreads: &[f64]) -> Vec<ShapeRow> {
-    use htmpll_htm::nyquist::strip_zero_count;
-    spreads
-        .iter()
-        .map(|&spread| {
-            let pm = spread.atan().to_degrees() - (1.0 / spread).atan().to_degrees();
-            let stable_at = |ratio: f64| {
-                let d = PllDesign::reference_design_shaped(ratio, spread).expect("design");
-                let m = PllModel::builder(d.clone()).build().expect("model");
-                strip_zero_count(|s| m.lambda().eval(s), d.omega_ref(), 1e-4, 4096) == 0
-            };
-            let (mut lo, mut hi) = (0.01, 0.6);
-            assert!(stable_at(lo), "spread {spread}: low bracket unstable");
-            if stable_at(hi) {
-                // Extremely robust shape: report the bracket edge.
-                return ShapeRow {
-                    spread,
-                    pm_lti_deg: pm,
-                    limit_ratio: hi,
-                };
-            }
-            while hi - lo > 1e-3 {
-                let mid = 0.5 * (lo + hi);
-                if stable_at(mid) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            ShapeRow {
-                spread,
-                pm_lti_deg: pm,
-                limit_ratio: 0.5 * (lo + hi),
-            }
-        })
-        .collect()
-}
-
-/// One row of the PFD-architecture comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct PfdRow {
-    /// Loop-speed ratio `ω_UG/ω₀`.
-    pub ratio: f64,
-    /// Effective phase margin with the impulse-sampling charge pump.
-    pub pm_impulse_deg: f64,
-    /// Effective phase margin with the sample-and-hold PFD.
-    pub pm_sample_hold_deg: f64,
-}
-
-/// "Extension to arbitrary PFDs": impulse-sampling charge pump vs
-/// sample-and-hold detector — the hold's half-period delay costs margin
-/// on top of the aliasing.
-pub fn pfd_comparison(ratios: &[f64]) -> Vec<PfdRow> {
-    use htmpll_core::SampleHoldModel;
-    ratios
-        .iter()
-        .map(|&ratio| {
-            let design = PllDesign::reference_design(ratio).expect("design");
-            let imp = analyze(&PllModel::builder(design.clone()).build().expect("model")).expect("analysis");
-            let sh = SampleHoldModel::new(design).expect("s&h model");
-            let pm_sh = sh
-                .margins()
-                .map(|m| m.phase_margin_deg)
-                .unwrap_or(0.0);
-            PfdRow {
-                ratio,
-                pm_impulse_deg: imp.phase_margin_eff_deg,
-                pm_sample_hold_deg: pm_sh,
-            }
-        })
-        .collect()
-}
-
-/// One row of the leakage-spur study.
-#[derive(Debug, Clone, Copy)]
-pub struct SpurRow {
-    /// Leakage current as a fraction of `I_cp`.
-    pub leakage_frac: f64,
-    /// Static phase offset measured in simulation, in fractions of `T`.
-    pub static_offset_frac: f64,
-    /// First-order prediction `I_leak/I_cp`.
-    pub predicted_offset_frac: f64,
-    /// Reference-spur level from the simulated phase PSD, dB relative
-    /// to the spur at the smallest leakage in the sweep.
-    pub spur_rel_db: f64,
-    /// Analytic spur line power from `core::spurs`
-    /// (`θ̃₁ = −A(jω₀)·θ_static`), same relative dB scale.
-    pub spur_rel_db_predicted: f64,
-    /// Absolute ratio simulated/predicted line power.
-    pub sim_over_predicted: f64,
-}
-
-/// Charge-pump leakage study: static phase offset (vs the first-order
-/// prediction `θ/T = I_leak/I_cp`) and the reference spur it creates,
-/// which scales 20 dB/decade with leakage.
-pub fn leakage_spur_study(ratio: f64, leakage_fracs: &[f64]) -> Vec<SpurRow> {
-    use htmpll_core::LeakageSpurs;
-    use htmpll_sim::PllSim;
-    use htmpll_spectral::{band_power, periodogram, Window};
-    let design = PllDesign::reference_design(ratio).expect("design");
-    let model = PllModel::builder(design.clone()).build().expect("model");
-    let mut spur_abs = Vec::new();
-    let mut pred_abs = Vec::new();
-    let mut rows = Vec::new();
-    for &frac in leakage_fracs {
-        let mut params = SimParams::from_design(&design);
-        params.leakage = frac * params.i_cp;
-        let t_ref = params.t_ref;
-        let mut sim = PllSim::new(params.clone(), SimConfig::default());
-        let _ = sim.run(500.0 * t_ref, &|_| 0.0);
-        let trace = sim.run(1024.0 * t_ref, &|_| 0.0);
-        let mean = trace.theta_vco.iter().sum::<f64>() / trace.theta_vco.len() as f64;
-        let centered: Vec<f64> = trace.theta_vco.iter().map(|v| v - mean).collect();
-        let psd = periodogram(&centered, 1.0 / trace.dt, Window::Hann).expect("psd");
-        let f_ref = 1.0 / t_ref;
-        let spur = band_power(&psd, 0.97 * f_ref, 1.03 * f_ref);
-        let predicted = LeakageSpurs::new(&model, params.leakage).line_power(1);
-        spur_abs.push(spur);
-        pred_abs.push(predicted);
-        rows.push(SpurRow {
-            leakage_frac: frac,
-            static_offset_frac: mean / t_ref,
-            predicted_offset_frac: frac,
-            spur_rel_db: 0.0,
-            spur_rel_db_predicted: 0.0,
-            sim_over_predicted: spur / predicted,
-        });
-    }
-    let base = spur_abs[0];
-    let pbase = pred_abs[0];
-    for ((row, s), p) in rows.iter_mut().zip(&spur_abs).zip(&pred_abs) {
-        row.spur_rel_db = 10.0 * (s / base).log10();
-        row.spur_rel_db_predicted = 10.0 * (p / pbase).log10();
-    }
-    rows
-}
-
-/// One row of the closed-loop pole locus.
-#[derive(Debug, Clone)]
-pub struct PoleRow {
-    /// Loop-speed ratio `ω_UG/ω₀`.
-    pub ratio: f64,
-    /// Strip poles `(Re, Im/(ω₀/2))`, least damped first.
-    pub poles: Vec<(f64, f64)>,
-}
-
-/// Closed-loop pole locus of the time-varying loop vs `ω_UG/ω₀`:
-/// Newton on `1 + λ(s) = 0` with exact derivatives. Shows the
-/// subharmonic (Im = ω₀/2) pole pair being born from colliding real
-/// poles and marching into the right half plane at the stability limit.
-pub fn pole_locus(ratios: &[f64]) -> Vec<PoleRow> {
-    use htmpll_core::dominant_poles;
-    ratios
-        .iter()
-        .map(|&ratio| {
-            let model =
-                PllModel::builder(PllDesign::reference_design(ratio).expect("design")).build().expect("model");
-            let w0 = model.design().omega_ref();
-            let poles = dominant_poles(&model)
-                .expect("poles")
-                .into_iter()
-                .map(|p| (p.re, p.im / (0.5 * w0)))
-                .collect();
-            PoleRow { ratio, poles }
-        })
-        .collect()
-}
-
-/// One row of the lock-acquisition study.
-#[derive(Debug, Clone, Copy)]
-pub struct LockRow {
-    /// Fractional VCO detuning at t = 0.
-    pub detune_frac: f64,
-    /// Whether lock was declared within the horizon.
-    pub locked: bool,
-    /// Lock time in reference periods (NaN when not locked).
-    pub lock_periods: f64,
-}
-
-/// Lock acquisition vs initial frequency detuning — the large-signal
-/// behavior (PFD frequency detection) the small-signal HTM analysis
-/// deliberately leaves out, covered by the behavioral simulator.
-pub fn lock_study(ratio: f64, detunings: &[f64]) -> Vec<LockRow> {
-    use htmpll_sim::{acquire_lock, LockOptions};
-    let design = PllDesign::reference_design(ratio).expect("design");
-    let params = SimParams::from_design(&design);
-    let cfg = SimConfig::default();
-    let opts = LockOptions::default();
-    detunings
-        .iter()
-        .map(|&detune| {
-            let r = acquire_lock(&params, &cfg, detune, &opts);
-            LockRow {
-                detune_frac: detune,
-                locked: r.locked,
-                lock_periods: r.lock_time * design.f_ref(),
-            }
-        })
-        .collect()
-}
-
-/// One row of the truncation-convergence study.
-#[derive(Debug, Clone, Copy)]
-pub struct TruncRow {
-    /// Truncation order `K` (matrix dimension `2K+1`).
-    pub k: usize,
-    /// Relative error of the truncated λ against the exact lattice sum.
-    pub lambda_err: f64,
-    /// Max-element relative error of the truncated closed-loop HTM
-    /// against the exact-λ rank-one form.
-    pub htm_err: f64,
-}
-
-/// Truncation ablation: how fast the truncated harmonic machinery
-/// converges to the exact (lattice-sum) results — the data behind the
-/// `Truncation::default()` choice.
-pub fn truncation_study(ratio: f64, omega: f64, ks: &[usize]) -> Vec<TruncRow> {
-    use htmpll_htm::Truncation;
-    let model = PllModel::builder(PllDesign::reference_design(ratio).expect("design")).build().expect("model");
-    let s = Complex::from_im(omega);
-    let lam_exact = model.lambda().eval(s);
-    let h_exact = model.h00(omega);
-    ks.iter()
-        .map(|&k| {
-            let t = Truncation::new(k);
-            let lam_k: Complex = model.v_column(s, t).iter().copied().sum();
-            let htm = model.closed_loop_htm(s, t);
-            TruncRow {
-                k,
-                lambda_err: (lam_k - lam_exact).abs() / lam_exact.abs(),
-                htm_err: (htm.band(0, 0) - h_exact).abs() / h_exact.abs(),
-            }
-        })
-        .collect()
 }

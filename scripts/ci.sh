@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: everything a reviewer needs to trust the tree, offline.
 #
-#   scripts/ci.sh            # build, test, clippy, fmt check, metrics smoke
-#
-# The bench crate is excluded from the workspace (needs the registry);
-# this script covers the offline workspace only.
+#   scripts/ci.sh            # build, test, clippy, fmt check, smokes, figures diff
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,8 +21,8 @@ echo "==> determinism suites repeated 5x at default parallelism"
 # Tests in one binary run concurrently; anything process-global that a
 # test flips (a fault plan, a SIMD level) shows up here as a flake.
 for i in 1 2 3 4 5; do
-    cargo test -q --test parallel_determinism --test explore --test chaos --test simd_kernels \
-        > /dev/null || {
+    { cargo test -q --test parallel_determinism --test explore --test chaos --test simd_kernels \
+        --test property && cargo test -q -p htmpll-par; } > /dev/null || {
         echo "determinism repeat leg failed on run $i" >&2
         exit 1
     }
@@ -62,7 +59,7 @@ while IFS= read -r hit; do
     fi
 done < <(
     find crates/*/src src/bin src/lib.rs src/profile.rs src/requests.rs src/service -name '*.rs' 2>/dev/null \
-        | grep -v '^crates/bench/' | sort | while IFS= read -r f; do
+        | sort | while IFS= read -r f; do
         # The assert!-family is additionally audited in the estimation
         # and z-domain crates, whose inputs come straight from user
         # records: every remaining assert must be a documented
@@ -146,8 +143,7 @@ echo "SIMD smoke ok ($detected)"
 echo "==> xcheck determinism leg (quick corpus, threads 1 vs 4)"
 x1=$(mktemp); x4=$(mktemp)
 HTMPLL_THREADS=1 ./target/release/plltool xcheck --corpus quick --threads 1 --json "$x1" > /dev/null
-HTMPLL_THREADS=4 ./target/release/plltool xcheck --corpus quick --threads 4 --json "$x4" \
-    --bench BENCH_xcheck_corpus.json > /dev/null
+HTMPLL_THREADS=4 ./target/release/plltool xcheck --corpus quick --threads 4 --json "$x4" > /dev/null
 cmp -s "$x1" "$x4" || {
     echo "xcheck determinism failed: quick-corpus reports differ across thread counts" >&2
     diff "$x1" "$x4" | head -5 >&2
@@ -249,25 +245,29 @@ echo "serve leg ok (50/50 in-order responses, zero shed, $hits warm-cache hits)"
 
 echo "==> serve deadline leg (tight budget answers, never hangs)"
 dlout=$(mktemp)
-printf '{"id":0,"command":"sweep","params":{"from":0.05,"to":0.3,"points":60}}\n{"id":1,"command":"analyze","params":{"ratio":0.1}}\n' \
+# The default optimize grid is tens of ms of work, so against a 1 ms
+# budget its line must always be a retryable deadline error.
+printf '%s\n' '{"id":0,"command":"sweep","params":{"from":0.05,"to":0.3,"points":60}}' \
+    '{"id":1,"command":"analyze","params":{"ratio":0.1}}' \
+    '{"id":2,"command":"optimize","params":{}}' \
     | timeout 60 ./target/release/plltool serve --deadline-ms 1 --workers 2 > "$dlout" 2>/dev/null || {
     echo "serve deadline leg failed: serve exited nonzero or hung" >&2
     exit 1
 }
 dllines=$(wc -l < "$dlout")
-[ "$dllines" -eq 2 ] || {
-    echo "serve deadline leg failed: expected 2 response lines, got $dllines" >&2
+[ "$dllines" -eq 3 ] || {
+    echo "serve deadline leg failed: expected 3 response lines, got $dllines" >&2
     exit 1
 }
-grep -q '"code":"deadline"' "$dlout" || {
-    echo "serve deadline leg failed: no structured deadline error under a 1 ms budget" >&2
-    head -2 "$dlout" >&2
-    exit 1
-}
-grep -q '"retryable":true' "$dlout" || {
-    echo "serve deadline leg failed: deadline error not marked retryable" >&2
-    exit 1
-}
+optline=$(grep '"id":2,' "$dlout" || true)
+case "$optline" in
+    *'"code":"deadline"'*'"retryable":true'*) ;;
+    *)
+        echo "serve deadline leg failed: optimize did not answer a retryable deadline error under a 1 ms budget" >&2
+        cat "$dlout" >&2
+        exit 1
+        ;;
+esac
 rm -f "$dlout"
 echo "serve deadline leg ok (structured retryable deadline errors, no hang)"
 
@@ -304,5 +304,25 @@ timeout 120 ./target/release/plltool chaos --requests 24 || {
     exit 1
 }
 echo "chaos smoke ok"
+
+echo "==> paper figures (examples/figures.rs vs figures_output.txt)"
+# Every line is deterministic except the timing section's wall-clock
+# speedup line, which is filtered from both sides.
+figout=$(mktemp)
+cargo run --release -q --example figures -- all > "$figout"
+speedup='→ speedup'
+for f in figures_output.txt "$figout"; do
+    n=$(grep -c "$speedup" "$f" || true)
+    [ "$n" -eq 1 ] || {
+        echo "figures leg failed: expected exactly one wall-clock line in $f, found $n" >&2
+        exit 1
+    }
+done
+diff <(grep -v "$speedup" figures_output.txt) <(grep -v "$speedup" "$figout") || {
+    echo "figures leg failed: regenerated figures differ from figures_output.txt" >&2
+    exit 1
+}
+rm -f "$figout"
+echo "figures leg ok (all but the wall-clock line match figures_output.txt)"
 
 echo "==> all green"

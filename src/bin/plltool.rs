@@ -48,7 +48,7 @@ const USAGE: &str =
           singular I+G, extreme truncations, NaN injection, a
           structure-breaking near-singular banded loop) and prints
           a health table; non-zero exit when a check misbehaves
-  xcheck  [--corpus default|quick] [--json PATH] [--bench PATH]
+  xcheck  [--corpus default|quick] [--json PATH]
           reconciles the λ(s), z-domain and time-domain stacks over a
           deterministic scenario corpus; exit 2 on any mismatch
   metrics [--ratio R] [--obs SPEC] [--json PATH]
@@ -131,12 +131,6 @@ fn run_request(cmd: &str, params: &Params, fault_plan: &FaultPlanRef) -> Result<
         if matches!(resp, Response::Metrics(_)) {
             println!("\nwrote {path}");
         } else {
-            println!("wrote {path}");
-        }
-    }
-    if let Some(path) = params.str_opt("bench") {
-        if let Response::Xcheck(x) = &resp {
-            std::fs::write(&path, &x.bench_json).map_err(|e| format!("--bench {path}: {e}"))?;
             println!("wrote {path}");
         }
     }

@@ -12,7 +12,7 @@ use super::response::{
 use super::ServiceCtx;
 use crate::core::{
     analyze_cached, analyze_deadline, bode_grid, dominant_poles, dominant_poles_deadline,
-    explore_deadline, optimize_loop, transient, CoreError, EffectiveGain, ExploreSpec,
+    explore_deadline, optimize_loop_deadline, transient, CoreError, EffectiveGain, ExploreSpec,
     LeakageSpurs, NoiseModel, NoiseShape, NoiseSpec, OptimizeSpec, PllDesign, PllModel,
     PointQuality, QualitySummary, SampleHoldModel, SweepSpec, DEADLINE_REASON, MAX_AUTO_TRUNCATION,
 };
@@ -73,7 +73,10 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
             points,
             ref_noise,
             vco_noise,
-        } => optimize(*min_pm, *from, *to, *points, *ref_noise, *vco_noise).map(Response::Optimize),
+        } => optimize(
+            *min_pm, *from, *to, *points, *ref_noise, *vco_noise, &deadline,
+        )
+        .map(Response::Optimize),
         Request::Explore {
             candidates,
             seed,
@@ -373,6 +376,7 @@ fn optimize(
     points: usize,
     ref_noise: f64,
     vco_noise: f64,
+    deadline: &Deadline,
 ) -> Result<OptimizeOut, String> {
     let spec = OptimizeSpec {
         min_pm_eff_deg: min_pm,
@@ -388,7 +392,7 @@ fn optimize(
         },
         band: (1e-3, 0.45),
     };
-    let best = optimize_loop(&spec, &noise).map_err(|e| e.to_string())?;
+    let best = optimize_loop_deadline(&spec, &noise, deadline).map_err(|e| e.to_string())?;
     Ok(OptimizeOut {
         ratio: best.ratio,
         spread: best.spread,
@@ -698,11 +702,6 @@ fn xcheck(corpus: &str, threads: ThreadBudget) -> Result<XcheckOut, String> {
         scenarios: report.scenarios.len(),
         digest: report.digest(),
         report_json: report.to_json(),
-        bench_json: report.timings.to_bench_json(
-            &report.corpus,
-            report.scenarios.len(),
-            report.total_checks(),
-        ),
     })
 }
 

@@ -191,8 +191,6 @@ pub struct XcheckOut {
     pub digest: String,
     /// Full report JSON (the `--json` payload).
     pub report_json: String,
-    /// Bench-timing JSON (the `--bench` payload).
-    pub bench_json: String,
 }
 
 /// `metrics` result.

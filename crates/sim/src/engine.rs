@@ -23,7 +23,7 @@
 //! ```
 
 use crate::pfd::TriStatePfd;
-use crate::state_space::StateSpace;
+use crate::state_space::{rk4_step, Rk4Scratch, StateSpace};
 use htmpll_core::PllDesign;
 use htmpll_lti::Tf;
 use htmpll_num::rng::Rng;
@@ -228,6 +228,12 @@ pub struct PllSim {
     down_since: Option<f64>,
     /// Count of divided edges fired (indexes the divider sequence).
     div_edge_index: usize,
+    /// Combined state `[filter…, Φ]` at the start of the current segment.
+    x0: Vec<f64>,
+    /// RK4 result from `x0` (the trial step, then each bisection probe).
+    x1: Vec<f64>,
+    /// Stage buffers for the combined-state RK4 steps.
+    rk4: Rk4Scratch,
 }
 
 impl PllSim {
@@ -248,6 +254,7 @@ impl PllSim {
         assert!(config.substeps > 0, "need at least one substep");
         let filter = StateSpace::from_tf(&params.filter);
         let pfd = TriStatePfd::new(params.i_cp);
+        let n_state = filter.order() + 1;
         let mut rng = Rng::seed_from_u64(config.jitter_seed);
         let pending_jitter = draw_jitter(&mut rng, config.ref_jitter_rms);
         let divider = params.divider;
@@ -269,6 +276,9 @@ impl PllSim {
             up_since: None,
             down_since: None,
             div_edge_index: 0,
+            x0: vec![0.0; n_state],
+            x1: vec![0.0; n_state],
+            rk4: Rk4Scratch::new(n_state),
         }
     }
 
@@ -396,66 +406,8 @@ impl PllSim {
         t + self.pending_jitter
     }
 
-    /// RK4 derivative of the combined state `[filter…, Φ]`.
-    fn deriv(&self, x: &[f64], i_cp: f64, out: &mut [f64]) {
-        let nf = self.filter.order();
-        self.filter.eval_deriv(&x[..nf], i_cp, &mut out[..nf]);
-        let v = self.filter.eval_output(&x[..nf], i_cp);
-        // Time-varying sensitivity: gain modulated over the VCO cycle.
-        let mut gain = 1.0;
-        if !self.params.isf_cosine.is_empty() {
-            let phi = x[nf]; // VCO phase in cycles
-            for (k, &a) in self.params.isf_cosine.iter().enumerate() {
-                gain += a * (2.0 * std::f64::consts::PI * (k + 1) as f64 * phi).cos();
-            }
-        }
-        out[nf] = self.params.f_center
-            + self.fm_noise
-            + self.params.kvco * gain / (2.0 * std::f64::consts::PI) * v;
-    }
-
-    /// One RK4 step of size `h` from state `x` with constant current.
-    fn rk4(&self, x: &[f64], i_cp: f64, h: f64) -> Vec<f64> {
-        let n = x.len();
-        let mut k1 = vec![0.0; n];
-        let mut k2 = vec![0.0; n];
-        let mut k3 = vec![0.0; n];
-        let mut k4 = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
-        self.deriv(x, i_cp, &mut k1);
-        for i in 0..n {
-            tmp[i] = x[i] + 0.5 * h * k1[i];
-        }
-        self.deriv(&tmp, i_cp, &mut k2);
-        for i in 0..n {
-            tmp[i] = x[i] + 0.5 * h * k2[i];
-        }
-        self.deriv(&tmp, i_cp, &mut k3);
-        for i in 0..n {
-            tmp[i] = x[i] + h * k3[i];
-        }
-        self.deriv(&tmp, i_cp, &mut k4);
-        let mut out = x.to_vec();
-        for i in 0..n {
-            out[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        out
-    }
-
-    fn combined_state(&self) -> Vec<f64> {
-        let mut x = self.filter.state().to_vec();
-        x.push(self.phi);
-        x
-    }
-
-    fn set_combined_state(&mut self, x: &[f64]) {
-        let nf = self.filter.order();
-        self.filter.set_state(&x[..nf]);
-        self.phi = x[nf];
-    }
-
     /// Advances exactly to `t_target`, firing PFD events on the way.
-    fn advance_to(&mut self, t_target: f64, modulation: &dyn Fn(f64) -> f64) {
+    fn advance_to(&mut self, t_target: f64, refs: &mut RefEdges) {
         let hs = self.params.t_ref / (self.config.samples_per_ref * self.config.substeps) as f64;
         let time_eps = 1e-13 * self.params.t_ref;
         let mut guard = 0usize;
@@ -463,7 +415,7 @@ impl PllSim {
         while self.t < t_target - time_eps {
             guard += 1;
             assert!(guard < guard_max, "event loop failed to make progress");
-            let next_ref = self.ref_edge_time(self.next_ref_index, modulation);
+            let next_ref = refs.next_time(self);
             let next_reset = self.pending_reset.unwrap_or(f64::INFINITY);
             let seg_end = (self.t + hs)
                 .min(t_target)
@@ -499,20 +451,29 @@ impl PllSim {
                 let sigma = (self.config.vco_fm_psd / (2.0 * h)).sqrt();
                 self.fm_noise = sigma * draw_gaussian(&mut self.rng);
             }
-            let x0 = self.combined_state();
+            let nf = self.filter.order();
+            self.x0[..nf].copy_from_slice(self.filter.state());
+            self.x0[nf] = self.phi;
             let i_now = self.filter_current();
+            let vco = Vco {
+                filter: &self.filter,
+                params: &self.params,
+                fm_noise: self.fm_noise,
+                i_cp: i_now,
+            };
             htmpll_obs::counter!("sim", "engine.rk4_steps").inc();
-            let trial = self.rk4(&x0, i_now, h);
-            let phi_idx = x0.len() - 1;
-            if trial[phi_idx] >= self.next_div_cycles {
+            vco.rk4(&self.x0, h, &mut self.x1, &mut self.rk4);
+            let edge = if self.x1[nf] >= self.next_div_cycles {
                 // Divided-VCO edge inside the segment: bisect for the
                 // crossing time.
                 let mut lo = 0.0;
                 let mut hi = h;
+                let mut probes = 0u64;
                 for _ in 0..60 {
                     let mid = 0.5 * (lo + hi);
-                    let xm = self.rk4(&x0, i_now, mid);
-                    if xm[phi_idx] >= self.next_div_cycles {
+                    vco.rk4(&self.x0, mid, &mut self.x1, &mut self.rk4);
+                    probes += 1;
+                    if self.x1[nf] >= self.next_div_cycles {
                         hi = mid;
                     } else {
                         lo = mid;
@@ -521,8 +482,15 @@ impl PllSim {
                         break;
                     }
                 }
-                let x_edge = self.rk4(&x0, i_now, hi);
-                self.set_combined_state(&x_edge);
+                vco.rk4(&self.x0, hi, &mut self.x1, &mut self.rk4);
+                htmpll_obs::counter!("sim", "engine.edge_bisect_steps").add(probes + 1);
+                Some(hi)
+            } else {
+                None
+            };
+            self.filter.set_state(&self.x1[..nf]);
+            self.phi = self.x1[nf];
+            if let Some(hi) = edge {
                 self.phi = self.next_div_cycles; // pin against drift
                 self.t += hi;
                 self.pfd_edge(false);
@@ -533,7 +501,6 @@ impl PllSim {
                 self.div_edge_index += 1;
                 self.next_div_cycles += self.params.divider + offset;
             } else {
-                self.set_combined_state(&trial);
                 self.t += h;
                 if (self.t - next_ref).abs() <= time_eps {
                     self.fire_ref_edge();
@@ -552,7 +519,12 @@ impl PllSim {
     /// Runs for `duration` seconds under the reference phase modulation
     /// `θ_ref(t)` (time units, absolute time argument), returning the
     /// uniformly sampled trace. Repeated calls continue from the current
-    /// state, so a settle run can precede a measurement run.
+    /// state, so a settle run can precede a measurement run, and each
+    /// call may pass a different modulation.
+    ///
+    /// The modulation must be a pure function of absolute time: within
+    /// one call each reference edge's time is solved from it once and
+    /// reused until that edge fires.
     ///
     /// # Panics
     ///
@@ -568,8 +540,12 @@ impl PllSim {
         let mut theta_ref = Vec::with_capacity(n);
         let mut theta_vco = Vec::with_capacity(n);
         let mut v_ctrl = Vec::with_capacity(n);
+        let mut refs = RefEdges {
+            modulation,
+            next: None,
+        };
         for k in 1..=n {
-            self.advance_to(t0 + k as f64 * dt, modulation);
+            self.advance_to(t0 + k as f64 * dt, &mut refs);
             theta_ref.push(modulation(self.t));
             theta_vco.push(self.theta_vco());
             v_ctrl.push(self.v_ctrl());
@@ -581,6 +557,64 @@ impl PllSim {
             theta_vco,
             v_ctrl,
         }
+    }
+}
+
+/// The reference side of one [`PllSim::run`] call: its modulation and
+/// the solved time of the next reference edge. That time depends only on
+/// the edge index, the modulation and the edge's jitter (drawn when the
+/// previous edge fires), so it is solved once per edge, keyed on the
+/// index. The cache lives for one call because the modulation does.
+struct RefEdges<'m> {
+    modulation: &'m dyn Fn(f64) -> f64,
+    next: Option<(u64, f64)>,
+}
+
+impl RefEdges<'_> {
+    fn next_time(&mut self, sim: &PllSim) -> f64 {
+        match self.next {
+            Some((k, t)) if k == sim.next_ref_index => t,
+            _ => {
+                let t = sim.ref_edge_time(sim.next_ref_index, self.modulation);
+                self.next = Some((sim.next_ref_index, t));
+                t
+            }
+        }
+    }
+}
+
+/// The VCO loop's right-hand side over one segment: the filter states
+/// plus the VCO phase `Φ` (cycles), driven by a constant pump current.
+struct Vco<'a> {
+    filter: &'a StateSpace,
+    params: &'a SimParams,
+    fm_noise: f64,
+    i_cp: f64,
+}
+
+impl Vco<'_> {
+    /// Derivative of the combined state `[filter…, Φ]`.
+    fn deriv(&self, x: &[f64], out: &mut [f64]) {
+        let nf = self.filter.order();
+        self.filter.eval_deriv(&x[..nf], self.i_cp, &mut out[..nf]);
+        let v = self.filter.eval_output(&x[..nf], self.i_cp);
+        // Time-varying sensitivity: gain modulated over the VCO cycle.
+        let mut gain = 1.0;
+        if !self.params.isf_cosine.is_empty() {
+            let phi = x[nf]; // VCO phase in cycles
+            for (k, &a) in self.params.isf_cosine.iter().enumerate() {
+                gain += a * (2.0 * std::f64::consts::PI * (k + 1) as f64 * phi).cos();
+            }
+        }
+        out[nf] = self.params.f_center
+            + self.fm_noise
+            + self.params.kvco * gain / (2.0 * std::f64::consts::PI) * v;
+    }
+
+    /// One RK4 step of size `h` from `x0`, written into `out`.
+    fn rk4(&self, x0: &[f64], h: f64, out: &mut [f64], scratch: &mut Rk4Scratch) {
+        out.copy_from_slice(x0);
+        rk4_step(out, h, scratch, |x, dx| self.deriv(x, dx));
     }
 }
 

@@ -33,6 +33,8 @@ pub struct StateSpace {
     d: f64,
     /// State vector (length n).
     x: Vec<f64>,
+    /// Reused RK4 stage buffers, so stepping never allocates.
+    scratch: Rk4Scratch,
 }
 
 impl StateSpace {
@@ -71,6 +73,7 @@ impl StateSpace {
             c_row,
             d,
             x: vec![0.0; n],
+            scratch: Rk4Scratch::new(n),
         }
     }
 
@@ -113,7 +116,7 @@ impl StateSpace {
     /// The state derivative for an explicit state vector; `out` must
     /// have length [`order`](StateSpace::order).
     pub fn eval_deriv(&self, x: &[f64], u: f64, out: &mut [f64]) {
-        self.deriv(x, u, out);
+        companion_deriv(&self.den, x, u, out);
     }
 
     /// Magnitude of the fastest pole (for substep selection); zero for a
@@ -122,20 +125,6 @@ impl StateSpace {
         tf.poles()
             .map(|ps| ps.iter().map(|p| p.abs()).fold(0.0, f64::max))
             .unwrap_or(0.0)
-    }
-
-    /// State derivative for constant input `u` (companion form).
-    fn deriv(&self, x: &[f64], u: f64, out: &mut [f64]) {
-        let n = x.len();
-        if n == 0 {
-            return;
-        }
-        out[..n - 1].copy_from_slice(&x[1..n]);
-        let mut acc = u;
-        for (k, &a) in self.den.iter().take(n).enumerate() {
-            acc -= a * x[k];
-        }
-        out[n - 1] = acc;
     }
 
     /// Advances the state by `h` seconds with constant input `u`, using
@@ -151,30 +140,100 @@ impl StateSpace {
             return;
         }
         let hs = h / substeps as f64;
-        let n = self.x.len();
-        let mut k1 = vec![0.0; n];
-        let mut k2 = vec![0.0; n];
-        let mut k3 = vec![0.0; n];
-        let mut k4 = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
+        let den = &self.den;
         for _ in 0..substeps {
-            self.deriv(&self.x, u, &mut k1);
-            for i in 0..n {
-                tmp[i] = self.x[i] + 0.5 * hs * k1[i];
-            }
-            self.deriv(&tmp, u, &mut k2);
-            for i in 0..n {
-                tmp[i] = self.x[i] + 0.5 * hs * k2[i];
-            }
-            self.deriv(&tmp, u, &mut k3);
-            for i in 0..n {
-                tmp[i] = self.x[i] + hs * k3[i];
-            }
-            self.deriv(&tmp, u, &mut k4);
-            for i in 0..n {
-                self.x[i] += hs / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-            }
+            rk4_step(&mut self.x, hs, &mut self.scratch, |x, out| {
+                companion_deriv(den, x, u, out)
+            });
         }
+    }
+}
+
+/// State derivative of the companion form `den` for constant input `u`.
+fn companion_deriv(den: &[f64], x: &[f64], u: f64, out: &mut [f64]) {
+    let n = x.len();
+    if n == 0 {
+        return;
+    }
+    out[..n - 1].copy_from_slice(&x[1..n]);
+    let mut acc = u;
+    for (k, &a) in den.iter().take(n).enumerate() {
+        acc -= a * x[k];
+    }
+    out[n - 1] = acc;
+}
+
+/// Stage buffers for [`rk4_step`], sized once for an `n`-state system
+/// and reused across steps.
+#[derive(Debug, Clone)]
+pub(crate) struct Rk4Scratch {
+    k1: Vec<f64>,
+    k2: Vec<f64>,
+    k3: Vec<f64>,
+    k4: Vec<f64>,
+    tmp: Vec<f64>,
+}
+
+impl Rk4Scratch {
+    /// Buffers for an `n`-state system.
+    pub(crate) fn new(n: usize) -> Rk4Scratch {
+        Rk4Scratch {
+            k1: vec![0.0; n],
+            k2: vec![0.0; n],
+            k3: vec![0.0; n],
+            k4: vec![0.0; n],
+            tmp: vec![0.0; n],
+        }
+    }
+}
+
+/// One classical RK4 step of size `h`, in place on `x`, for the
+/// autonomous system `ẋ = f(x)`; `f(x, out)` writes the derivative into
+/// `out`. Allocation-free: every stage lives in `scratch`.
+///
+/// Per element the stages are `x + 0.5·h·k1`, `x + 0.5·h·k2`, `x + h·k3`
+/// and the update is `x + h/6·(k1 + 2k2 + 2k3 + k4)`, in that operation
+/// order, so the result is reproducible to the bit.
+///
+/// # Panics
+///
+/// Panics when `scratch` was sized for fewer than `x.len()` states.
+pub(crate) fn rk4_step<F: FnMut(&[f64], &mut [f64])>(
+    x: &mut [f64],
+    h: f64,
+    scratch: &mut Rk4Scratch,
+    mut f: F,
+) {
+    let n = x.len();
+    let Rk4Scratch {
+        k1,
+        k2,
+        k3,
+        k4,
+        tmp,
+    } = scratch;
+    let (k1, k2, k3, k4, tmp) = (
+        &mut k1[..n],
+        &mut k2[..n],
+        &mut k3[..n],
+        &mut k4[..n],
+        &mut tmp[..n],
+    );
+    f(x, k1);
+    for i in 0..n {
+        tmp[i] = x[i] + 0.5 * h * k1[i];
+    }
+    f(tmp, k2);
+    for i in 0..n {
+        tmp[i] = x[i] + 0.5 * h * k2[i];
+    }
+    f(tmp, k3);
+    for i in 0..n {
+        tmp[i] = x[i] + h * k3[i];
+    }
+    f(tmp, k4);
+    for i in 0..n {
+        x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
 }
 

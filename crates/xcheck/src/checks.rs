@@ -145,6 +145,16 @@ fn grade_bool(check: &'static str, stacks: &'static str, a: bool, b: bool) -> Ch
     }
 }
 
+/// Runs one stack's share of a scenario under its `xcheck.stack.*` span,
+/// adding the wall time to that stack's [`StackTimings`] slot.
+fn stack<T>(name: &'static str, slot: &mut f64, f: impl FnOnce() -> T) -> T {
+    let _span = htmpll_obs::span("xcheck", name);
+    let t0 = Instant::now();
+    let out = f();
+    *slot += ms_since(t0);
+    out
+}
+
 fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
@@ -652,55 +662,56 @@ fn run_scenario(s: &Scenario) -> Result<(ScenarioReport, StackTimings), XcheckEr
     let mut checks = Vec::new();
 
     // λ stack internal.
-    let t0 = Instant::now();
-    checks.push(check_lambda_truncation(&model, &probes));
-    tm.lambda_ms += ms_since(t0);
+    checks.push(stack("stack.lambda", &mut tm.lambda_ms, || {
+        check_lambda_truncation(&model, &probes)
+    }));
 
     // HTM reference path.
-    let t0 = Instant::now();
-    checks.push(check_smw_vs_dense(&model, &probes)?);
-    checks.push(check_structured_vs_dense(&model, &probes)?);
-    if !s.isf {
-        // The scalar closed form assumes the time-invariant V-column.
-        checks.push(check_h00_vs_dense(&model, &probes)?);
-    }
-    tm.htm_ms += ms_since(t0);
+    stack("stack.htm", &mut tm.htm_ms, || {
+        checks.push(check_smw_vs_dense(&model, &probes)?);
+        checks.push(check_structured_vs_dense(&model, &probes)?);
+        if !s.isf {
+            // The scalar closed form assumes the time-invariant V-column.
+            checks.push(check_h00_vs_dense(&model, &probes)?);
+        }
+        Ok::<_, XcheckError>(())
+    })?;
 
     // Analysis crossover vs λ, and the two stability verdicts.
-    let t0 = Instant::now();
-    let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
-    checks.extend(check_crossing(&model, &report));
-    checks.extend(check_refined_vs_grid(&report, &grid_reference(&model)?));
-    tm.lambda_ms += ms_since(t0);
+    let report = stack("stack.lambda", &mut tm.lambda_ms, || {
+        let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
+        checks.extend(check_crossing(&model, &report));
+        checks.extend(check_refined_vs_grid(&report, &grid_reference(&model)?));
+        Ok::<_, XcheckError>(report)
+    })?;
 
     // z-domain stack (scalar LTI model: skip for time-varying ISF).
     if !s.isf {
-        let t0 = Instant::now();
-        let (g, t_sample) = z_open_loop(&model)?;
-        checks.extend(check_lambda_vs_ztf(&model, &g, t_sample, &probes));
-        if !s.relative_degree_one() {
-            checks.push(check_closed_loop_sampled(&model, &g, t_sample, &probes)?);
-        }
-        let jury =
-            jury_stable(&g.characteristic()).map_err(|e| XcheckError::ZDomain(e.to_string()))?;
-        checks.push(grade_bool(
-            "jury-vs-nyquist",
-            "zdomain::Jury vs core::Nyquist",
-            jury,
-            report.nyquist_stable,
-        ));
-        tm.zdomain_ms += ms_since(t0);
+        stack("stack.zdomain", &mut tm.zdomain_ms, || {
+            let (g, t_sample) = z_open_loop(&model)?;
+            checks.extend(check_lambda_vs_ztf(&model, &g, t_sample, &probes));
+            if !s.relative_degree_one() {
+                checks.push(check_closed_loop_sampled(&model, &g, t_sample, &probes)?);
+            }
+            let jury = jury_stable(&g.characteristic())
+                .map_err(|e| XcheckError::ZDomain(e.to_string()))?;
+            checks.push(grade_bool(
+                "jury-vs-nyquist",
+                "zdomain::Jury vs core::Nyquist",
+                jury,
+                report.nyquist_stable,
+            ));
+            Ok::<_, XcheckError>(())
+        })?;
     }
 
     // Time-domain stack.
     if s.sim {
-        let t0 = Instant::now();
-        checks.push(check_sim_h00(&model));
-        tm.sim_ms += ms_since(t0);
-        let t0 = Instant::now();
-        let (spur, parseval) = check_sim_spur(&model);
+        checks.push(stack("stack.sim", &mut tm.sim_ms, || check_sim_h00(&model)));
+        let (spur, parseval) = stack("stack.spectral", &mut tm.spectral_ms, || {
+            check_sim_spur(&model)
+        });
         checks.push(spur);
-        tm.spectral_ms += ms_since(t0);
         checks.push(parseval);
     }
 
@@ -717,22 +728,23 @@ fn run_scenario(s: &Scenario) -> Result<(ScenarioReport, StackTimings), XcheckEr
 /// sampling limit and confirms the HTM-Nyquist verdict and the
 /// behavioral simulator (lock vs divergence) land on the same side.
 fn boundary_scenario() -> Result<(ScenarioReport, StackTimings), XcheckError> {
+    let _span = htmpll_obs::span_labeled("xcheck", "scenario", || "stability-boundary".into());
     let mut tm = StackTimings::default();
     let mut checks = Vec::new();
 
-    let t0 = Instant::now();
-    let limit = reference_design_stability_limit(0.05, 0.6, 1e-3);
-    tm.zdomain_ms += ms_since(t0);
+    let limit = stack("stack.zdomain", &mut tm.zdomain_ms, || {
+        reference_design_stability_limit(0.05, 0.6, 1e-3)
+    });
 
     for (tag, factor, expect_stable) in [
         ("nyquist-vs-jury-below", 0.92, true),
         ("nyquist-vs-jury-above", 1.08, false),
     ] {
-        let t0 = Instant::now();
-        let design = PllDesign::reference_design(factor * limit)?;
-        let model = PllModel::builder(design).build()?;
-        let report = analyze_with(&model, ThreadBudget::Fixed(1))?;
-        tm.lambda_ms += ms_since(t0);
+        let report = stack("stack.lambda", &mut tm.lambda_ms, || {
+            let design = PllDesign::reference_design(factor * limit)?;
+            let model = PllModel::builder(design).build()?;
+            analyze_with(&model, ThreadBudget::Fixed(1))
+        })?;
         let check: &'static str = tag;
         checks.push(grade_bool(
             check,
@@ -746,16 +758,16 @@ fn boundary_scenario() -> Result<(ScenarioReport, StackTimings), XcheckError> {
         ("sim-lock-below", 0.7, true),
         ("sim-lock-above", 1.25, false),
     ] {
-        let t0 = Instant::now();
-        let design = PllDesign::reference_design(factor * limit)?;
-        let params = SimParams::from_design(&design);
-        let opts = LockOptions {
-            threshold_frac: 0.02,
-            hold_periods: 50,
-            max_periods: 4000,
-        };
-        let r = acquire_lock(&params, &SimConfig::default(), 5e-3, &opts);
-        tm.sim_ms += ms_since(t0);
+        let r = stack("stack.sim", &mut tm.sim_ms, || {
+            let design = PllDesign::reference_design(factor * limit)?;
+            let params = SimParams::from_design(&design);
+            let opts = LockOptions {
+                threshold_frac: 0.02,
+                hold_periods: 50,
+                max_periods: 4000,
+            };
+            Ok::<_, XcheckError>(acquire_lock(&params, &SimConfig::default(), 5e-3, &opts))
+        })?;
         checks.push(grade_bool(
             tag,
             "sim::acquire_lock vs zdomain::Jury limit",
@@ -787,7 +799,10 @@ fn boundary_scenario() -> Result<(ScenarioReport, StackTimings), XcheckError> {
 pub fn run_corpus(name: &str, threads: ThreadBudget) -> Result<XcheckReport, XcheckError> {
     let _span = htmpll_obs::span_labeled("xcheck", "run_corpus", || name.to_string());
     let scenarios = corpus(name).ok_or_else(|| XcheckError::UnknownCorpus(name.to_string()))?;
-    let results = par_map(threads, &scenarios, |_, s| run_scenario(s));
+    let results = {
+        let _phase = htmpll_obs::span("xcheck", "run_corpus.scenarios");
+        par_map(threads, &scenarios, |_, s| run_scenario(s))
+    };
 
     let mut reports = Vec::new();
     let mut timings = StackTimings::default();

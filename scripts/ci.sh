@@ -169,9 +169,21 @@ digest=$(grep -o '"digest":"[0-9a-f]*"' "$x1" | head -1)
 rm -f "$x1" "$x4"
 echo "xcheck determinism ok (bitwise-identical across thread counts, $digest)"
 
-echo "==> xcheck full corpus (exit 2 on any mismatch)"
-./target/release/plltool xcheck --corpus default > /dev/null
-echo "xcheck full corpus ok (zero mismatches)"
+echo "==> xcheck full corpus (exit 2 on any mismatch; threads 1 vs 4)"
+# The quick corpus above simulates one scenario; the default corpus
+# runs every simulated scenario, so its report pins the behavioral
+# engine's bits across thread counts too.
+x1=$(mktemp); x4=$(mktemp)
+HTMPLL_THREADS=1 ./target/release/plltool xcheck --corpus default --threads 1 --json "$x1" > /dev/null
+HTMPLL_THREADS=4 ./target/release/plltool xcheck --corpus default --threads 4 --json "$x4" > /dev/null
+cmp -s "$x1" "$x4" || {
+    echo "xcheck full corpus failed: default-corpus reports differ across thread counts" >&2
+    diff "$x1" "$x4" | head -5 >&2
+    exit 1
+}
+digest=$(grep -o '"digest":"[0-9a-f]*"' "$x1" | head -1)
+rm -f "$x1" "$x4"
+echo "xcheck full corpus ok (zero mismatches, bitwise-identical across thread counts, $digest)"
 
 echo "==> plltool trace smoke"
 tracejson=$(mktemp)
@@ -245,29 +257,33 @@ echo "serve leg ok (50/50 in-order responses, zero shed, $hits warm-cache hits)"
 
 echo "==> serve deadline leg (tight budget answers, never hangs)"
 dlout=$(mktemp)
-# The default optimize grid is tens of ms of work, so against a 1 ms
-# budget its line must always be a retryable deadline error.
+# The default optimize grid is tens of ms of work, and a step response
+# out to t = 400 is seconds of inversion, so against a 1 ms budget both
+# lines must always be retryable deadline errors.
 printf '%s\n' '{"id":0,"command":"sweep","params":{"from":0.05,"to":0.3,"points":60}}' \
     '{"id":1,"command":"analyze","params":{"ratio":0.1}}' \
     '{"id":2,"command":"optimize","params":{}}' \
+    '{"id":3,"command":"step","params":{"ratio":0.1,"until":400}}' \
     | timeout 60 ./target/release/plltool serve --deadline-ms 1 --workers 2 > "$dlout" 2>/dev/null || {
     echo "serve deadline leg failed: serve exited nonzero or hung" >&2
     exit 1
 }
 dllines=$(wc -l < "$dlout")
-[ "$dllines" -eq 3 ] || {
-    echo "serve deadline leg failed: expected 3 response lines, got $dllines" >&2
+[ "$dllines" -eq 4 ] || {
+    echo "serve deadline leg failed: expected 4 response lines, got $dllines" >&2
     exit 1
 }
-optline=$(grep '"id":2,' "$dlout" || true)
-case "$optline" in
-    *'"code":"deadline"'*'"retryable":true'*) ;;
-    *)
-        echo "serve deadline leg failed: optimize did not answer a retryable deadline error under a 1 ms budget" >&2
-        cat "$dlout" >&2
-        exit 1
-        ;;
-esac
+for id in 2 3; do
+    line=$(grep "\"id\":$id," "$dlout" || true)
+    case "$line" in
+        *'"code":"deadline"'*'"retryable":true'*) ;;
+        *)
+            echo "serve deadline leg failed: request $id did not answer a retryable deadline error under a 1 ms budget" >&2
+            cat "$dlout" >&2
+            exit 1
+            ;;
+    esac
+done
 rm -f "$dlout"
 echo "serve deadline leg ok (structured retryable deadline errors, no hang)"
 

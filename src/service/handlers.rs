@@ -54,12 +54,12 @@ pub fn handle(req: &Request, ctx: &ServiceCtx) -> Response {
             design,
             until,
             points,
-        } => transient_out(design, *until, *points, false).map(Response::Step),
+        } => transient_out(design, *until, *points, false, &deadline).map(Response::Step),
         Request::Hop {
             design,
             until,
             points,
-        } => transient_out(design, *until, *points, true).map(Response::Hop),
+        } => transient_out(design, *until, *points, true, &deadline).map(Response::Hop),
         Request::Spur {
             design,
             leakage_frac,
@@ -342,14 +342,16 @@ fn transient_out(
     until: f64,
     points: usize,
     hop: bool,
+    deadline: &Deadline,
 ) -> Result<TransientOut, String> {
     let (_, model) = build_model(spec)?;
     let ts = lin_grid(until / points as f64, until, points.max(2));
     let ys = if hop {
-        transient::frequency_step_error(&model, &ts)
+        transient::frequency_step_error_deadline(&model, &ts, deadline)
     } else {
-        transient::step_response(&model, &ts)
-    };
+        transient::step_response_deadline(&model, &ts, deadline)
+    }
+    .map_err(|e| e.to_string())?;
     Ok(TransientOut { ts, ys })
 }
 

@@ -996,8 +996,12 @@ mod tests {
             "sweep deadline error carries its quality roll-up: {}",
             lines[1]
         );
-        // `step` never consults the deadline (no scan grids): still ok.
-        assert!(lines[2].contains("\"ok\":true"));
+        // `step` checks the deadline inside its inversion integral.
+        assert!(
+            lines[2].contains("\"code\":\"deadline\"") && lines[2].contains("\"retryable\":true"),
+            "step under a zero budget must fail retryably: {}",
+            lines[2]
+        );
         assert_eq!(summary.responded, 3);
     }
 

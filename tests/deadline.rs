@@ -119,3 +119,39 @@ fn serve_deadline_ms_answers_instead_of_hanging() {
         );
     }
 }
+
+/// `step` and `hop` run the transient inversion under the request
+/// deadline: a long horizon under a 1 ms budget answers a retryable
+/// `code:deadline` error instead of running its full integral.
+#[test]
+fn serve_transients_honour_the_deadline() {
+    let exe = env!("CARGO_BIN_EXE_plltool");
+    let mut child = Command::new(exe)
+        .args(["serve", "--deadline-ms", "1", "--workers", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn plltool serve");
+    {
+        let stdin = child.stdin.as_mut().expect("stdin");
+        for (i, command) in ["step", "hop"].iter().enumerate() {
+            writeln!(
+                stdin,
+                "{{\"id\":{i},\"command\":\"{command}\",\"params\":{{\"ratio\":0.1,\"until\":400}}}}"
+            )
+            .expect("write request");
+        }
+    }
+    let out = child.wait_with_output().expect("serve run");
+    assert!(out.status.success(), "serve exited nonzero");
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "every request answered: {text}");
+    for line in lines {
+        assert!(
+            line.contains("\"code\":\"deadline\"") && line.contains("\"retryable\":true"),
+            "expected a retryable deadline error: {line}"
+        );
+    }
+}
